@@ -44,6 +44,29 @@ def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> None
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {eigmin:.3e})")
 
 
+def _psd_eigs(q: np.ndarray, name: str):
+    """Descending nonzero eigenpairs of a matrix that require_psd accepts."""
+    require_psd(q, name)
+    q = np.asarray(q, dtype=complex)
+    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    if vals.size == 0 or vals[0] <= 0:
+        return np.zeros(0), vecs[:, :0]
+    keep = vals > vals[0] * _RANK_RTOL
+    return vals[keep], vecs[:, keep]
+
+
+def _logdet_bits(m: np.ndarray) -> float:
+    """log2 det of the Hermitian part of m."""
+    _, logdet = np.linalg.slogdet((m + m.conj().T) / 2)
+    return float(logdet / np.log(2.0))
+
+
+def _comm_mi_bits(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> float:
+    """Unchecked log2 det(I + H Q H^H / sigma^2)."""
+    return _logdet_bits(np.eye(h.shape[0]) + (h @ q @ h.conj().T) / noise.variance)
+
+
 def mutual_information_comm(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> float:
     """Per-symbol mutual information log2 det(I + H Q H^H / sigma^2) in bits."""
     h = np.asarray(h, dtype=complex)
@@ -51,10 +74,7 @@ def mutual_information_comm(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> f
     if h.shape[1] != q.shape[0]:
         raise ValueError("channel and covariance dimensions do not conform")
     require_psd(q, "transmit covariance")
-    n = h.shape[0]
-    gram = np.eye(n) + (h @ q @ h.conj().T) / noise.variance
-    sign, logdet = np.linalg.slogdet((gram + gram.conj().T) / 2)
-    return float(logdet / np.log(2.0))
+    return _comm_mi_bits(h, q, noise)
 
 
 def waterfill(eigenvalues, budget: float, noise: NoiseSpec) -> PowerAllocation:

@@ -8,6 +8,8 @@ across runs and thread counts.
 
 import argparse
 import json
+import math
+import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +26,12 @@ from .sensing import optimal_sensing_waveform, sensing_capacity
 from .waveform import solve_pareto_tradeoff
 
 SCENARIOS = ("capacity_sweep", "sensing_sweep", "isac_tradeoff", "mmwave_estimation", "beam_scan")
+_INT_FIELDS = ("m", "n_c", "n_s", "k", "t", "n_sc", "d", "l", "trials", "seed", "threads")
+
+
+def _is_number(value) -> bool:
+    """A finite real number; bool is excluded even though it subclasses int."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,23 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose one of {SCENARIOS}")
+        for name in ("out_path", "obs_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"config field {name} must be a string")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"config field {name} must be an integer, not {value!r}")
+        for name in ("p_t", "noise_var"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"config field {name} must be a finite number, not {value!r}")
+        for name in ("rho_list", "snr_db_list", "power_list"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(_is_number(v) for v in values):
+                raise ValueError(f"config field {name} must be a list of finite numbers")
         for name in ("m", "n_c", "n_s", "k", "t", "n_sc", "d", "trials", "threads"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
         if self.l < 0:
             raise ValueError("path count l must be >= 0")
@@ -275,14 +298,14 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     jobs = [(pi, tr) for pi in range(len(points)) for tr in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         outcomes = list(pool.map(lambda args: task(*args), jobs))
-    results = []
-    for (pi, tr), (metrics, elapsed) in zip(jobs, outcomes):
-        results.append(
-            TrialResult(cfg.scenario, param_name, points[pi], str(tr), metrics, elapsed)
-        )
-    # aggregate rows per parameter point
+    results = [
+        TrialResult(cfg.scenario, param_name, points[pi], str(tr), metrics, elapsed)
+        for (pi, tr), (metrics, elapsed) in zip(jobs, outcomes)
+    ]
+    # aggregate rows per parameter point: jobs are point-major, so point pi
+    # owns one contiguous slice (repeated point values stay separate)
     for pi, point in enumerate(points):
-        rows = [r for r in results if r.param_value == point and r.trial.isdigit()]
+        rows = results[pi * cfg.trials:(pi + 1) * cfg.trials]
         keys = sorted(rows[0].metrics)
         stacked = {k: np.array([r.metrics[k] for r in rows], dtype=float) for k in keys}
         results.append(TrialResult(cfg.scenario, param_name, point, "mean",

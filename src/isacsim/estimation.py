@@ -307,8 +307,11 @@ def read_observations(path) -> ObservationTensor:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not an observation tensor file")
-        shape = struct.unpack("<III", fh.read(12))
-        spacing, duration, carrier = struct.unpack("<ddd", fh.read(24))
+        header = fh.read(36)
+        if len(header) != 36:
+            raise ValueError(f"truncated observation file: header has {len(header)} of 36 bytes")
+        shape = struct.unpack("<III", header[:12])
+        spacing, duration, carrier = struct.unpack("<ddd", header[12:])
         raw = np.frombuffer(fh.read(), dtype="<f8")
     expected = int(np.prod(shape)) * 2
     if raw.size != expected:

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import ArrayGeometry, NoiseSpec, SteeringDictionary, steering_vector
+from .waveform import _min_on_sphere
 
 _MODES = ("plain", "beta_on_sensing", "beta_on_comm", "shared_symbol")
 
@@ -157,56 +158,6 @@ def optimize_coherent_phase(hc: np.ndarray, fc: np.ndarray, fs: np.ndarray, rho:
     return float(-np.angle(cross)), False
 
 
-def _max_gain_on_sphere(u: np.ndarray, v: np.ndarray, radius_sq: float) -> np.ndarray:
-    """Globally maximize ||u + V b||^2 over ||b||^2 = radius_sq.
-
-    Trust-region style secular equation: stationary points satisfy
-    (nu I - V^H V) b = V^H u with nu above the top eigenvalue; the norm curve
-    is monotone there so bisection finds the maximizer, with the degenerate
-    branch filled along the top eigenvector.
-    """
-    gram = v.conj().T @ v
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    rhs = vecs.conj().T @ (v.conj().T @ u)
-    weights = np.abs(rhs) ** 2
-    top = vals[-1]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-
-    def norm_sq(nu):
-        return float(np.sum(weights / (nu - vals) ** 2))
-
-    lo = top + 1e-13 * scale
-    if norm_sq(lo) < radius_sq:
-        open_modes = top - vals > 1e-12 * scale
-        y = np.zeros_like(rhs)
-        y[open_modes] = rhs[open_modes] / (top - vals[open_modes])
-        # note the max branch flips the sign: b = (nu I - M)^{-1} rhs
-        deficit = radius_sq - float(np.sum(np.abs(y) ** 2))
-        y[-1] = np.sqrt(max(deficit, 0.0))
-        b = vecs @ y
-    else:
-        hi = top + scale
-        while norm_sq(hi) > radius_sq:
-            hi = 2.0 * hi + scale
-        lo_b, hi_b = lo, hi
-        for _ in range(300):
-            mid = 0.5 * (lo_b + hi_b)
-            if norm_sq(mid) > radius_sq:
-                lo_b = mid
-            else:
-                hi_b = mid
-            if hi_b - lo_b <= 1e-16 * max(1.0, abs(hi_b)):
-                break
-        nu = 0.5 * (lo_b + hi_b)
-        b = vecs @ (rhs / (nu - vals))
-    norm = np.linalg.norm(b)
-    if norm == 0.0:
-        b = np.zeros(v.shape[1], dtype=complex)
-        b[0] = np.sqrt(radius_sq)
-        return b
-    return b * (np.sqrt(radius_sq) / norm)
-
-
 def optimize_beta_sinr(
     hc: np.ndarray,
     fc: np.ndarray,
@@ -219,11 +170,12 @@ def optimize_beta_sinr(
 ) -> BetaResult:
     """Diagonal sensing-beam gains maximizing the combined-channel SINR.
 
-    `full` mode solves the norm-constrained quadratic globally through the
-    secular equation; `phase_only` restricts the gains to unit phasors and
-    runs cyclic coordinate ascent with the per-entry closed-form phase, so the
-    SINR never decreases across iterations.  Either way the result is at
-    least as good as the identity gains.
+    `full` mode solves the norm-constrained quadratic globally with the
+    sphere-constrained solve waveform._min_on_sphere; `phase_only` restricts
+    the gains to unit phasors and runs cyclic coordinate ascent with the
+    per-entry closed-form phase, so the SINR never decreases across
+    iterations.  Either way the result is at least as good as the identity
+    gains.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (0, 1)")
@@ -241,7 +193,11 @@ def optimize_beta_sinr(
         return float(np.linalg.norm(u + v @ beta) ** 2 / noise.variance)
 
     if mode == "full":
-        beta = _max_gain_on_sphere(u, v, float(n_beams))
+        # maximizing ||u + V b||^2 minimizes b^H (-V^H V) b - 2 Re b^H V^H u
+        beta = _min_on_sphere(-(v.conj().T @ v), v.conj().T @ u, float(n_beams))
+        if beta is None:
+            beta = np.zeros(n_beams, dtype=complex)
+            beta[0] = np.sqrt(n_beams)
         return BetaResult(beta=beta, sinr=sinr_of(beta), converged=True)
 
     beta = np.ones(n_beams, dtype=complex)

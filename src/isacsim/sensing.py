@@ -11,10 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PowerAllocation, require_psd, waterfill
+from .capacity import PowerAllocation, _psd_eigs, waterfill
 from .channel import NoiseSpec
-
-_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,17 +31,6 @@ class EstimationRateResult:
     allocation: Optional[PowerAllocation]
 
 
-def _covariance_eigs(qh: np.ndarray):
-    """Descending nonzero eigenpairs of a Hermitian PSD covariance."""
-    require_psd(qh, "channel covariance")
-    vals, vecs = np.linalg.eigh((np.asarray(qh, dtype=complex) + np.asarray(qh).conj().T) / 2)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if vals.size == 0 or vals[0] <= 0:
-        return np.zeros(0), vecs[:, :0]
-    keep = vals > vals[0] * _RANK_RTOL
-    return vals[keep], vecs[:, keep]
-
-
 def estimation_rate(x: np.ndarray, qh: np.ndarray, noise: NoiseSpec, rx_count: int, t: int) -> float:
     """Sensing mutual information (N/T) log2 det(I + Q_h X^H X / sigma^2), bits/transmission."""
     x = np.asarray(x, dtype=complex)
@@ -52,7 +39,7 @@ def estimation_rate(x: np.ndarray, qh: np.ndarray, noise: NoiseSpec, rx_count: i
         raise ValueError("waveform must be T x M")
     if x.shape[1] != qh.shape[0]:
         raise ValueError("waveform and covariance dimensions do not conform")
-    vals, vecs = _covariance_eigs(qh)
+    vals, vecs = _psd_eigs(qh, "channel covariance")
     if vals.size == 0:
         return 0.0
     root = vecs * np.sqrt(vals)
@@ -68,8 +55,7 @@ def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: flo
     places the powered eigen-directions on G orthonormal columns drawn from
     the T-point unitary DFT basis, making the output deterministic.
     """
-    qh = np.asarray(qh, dtype=complex)
-    vals, vecs = _covariance_eigs(qh)
+    vals, vecs = _psd_eigs(qh, "channel covariance")
     g = vals.size
     if g == 0:
         raise ValueError("channel covariance is zero; nothing to probe")
@@ -85,8 +71,7 @@ def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: flo
 
 def sensing_capacity(qh: np.ndarray, rx_count: int, t: int, power_per_transmission: float, noise: NoiseSpec) -> EstimationRateResult:
     """Maximum estimation rate (N/T) sum log2(1 + lam_g beta_g / sigma^2)."""
-    qh = np.asarray(qh, dtype=complex)
-    vals, _ = _covariance_eigs(qh)
+    vals, _ = _psd_eigs(qh, "channel covariance")
     if vals.size == 0:
         return EstimationRateResult(bits_per_transmission=0.0, allocation=None)
     if t < vals.size:

@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import comm_capacity, require_psd
+from .capacity import _comm_mi_bits, _logdet_bits, _psd_eigs, comm_capacity, require_psd
 from .channel import NoiseSpec
 from .sensing import sensing_capacity
 
 _LN2 = np.log(2.0)
-_RANK_RTOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -44,25 +43,24 @@ def interference_power(xc: np.ndarray, hc: np.ndarray, c: np.ndarray) -> float:
 
 
 def _cov_root(qh: np.ndarray) -> np.ndarray:
-    require_psd(qh, "channel covariance")
-    vals, vecs = np.linalg.eigh((np.asarray(qh, dtype=complex) + np.asarray(qh).conj().T) / 2)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-
-
-def _logdet_bits(m: np.ndarray) -> float:
-    _, logdet = np.linalg.slogdet((m + m.conj().T) / 2)
-    return float(logdet / _LN2)
-
-
-def comm_mi_bits(q: np.ndarray, hc: np.ndarray, noise: NoiseSpec) -> float:
-    n = hc.shape[0]
-    return _logdet_bits(np.eye(n) + hc @ q @ hc.conj().T / noise.variance)
+    vals, vecs = _psd_eigs(qh, "channel covariance")
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def sensing_mi_bits(q: np.ndarray, qh_root: np.ndarray, noise: NoiseSpec, t: int, n_s: int) -> float:
     m = qh_root.shape[0]
     inner = np.eye(m) + t * (qh_root @ q @ qh_root) / noise.variance
     return n_s / t * _logdet_bits(inner)
+
+
+def _weighted_mi(q, hc, root, rho, noise, t, n_s, comm_norm, sens_norm) -> float:
+    """Unchecked weighted objective; `root` is the covariance square root Q_h^(1/2)."""
+    value = 0.0
+    if rho > 0:
+        value += rho / comm_norm * _comm_mi_bits(hc, q, noise)
+    if rho < 1:
+        value += (1.0 - rho) / sens_norm * sensing_mi_bits(q, root, noise, t, n_s)
+    return value
 
 
 def weighted_mi_objective(
@@ -86,16 +84,13 @@ def weighted_mi_objective(
     rho = _check_rho(rho)
     q = np.asarray(q, dtype=complex)
     require_psd(q, "transmit covariance")
-    value = 0.0
-    if rho > 0:
-        if comm_norm <= 0:
-            raise ValueError("communication normalizer must be > 0")
-        value += rho / comm_norm * comm_mi_bits(q, np.asarray(hc, dtype=complex), noise)
-    if rho < 1:
-        if sens_norm <= 0:
-            raise ValueError("sensing normalizer must be > 0")
-        value += (1.0 - rho) / sens_norm * sensing_mi_bits(q, _cov_root(qh), noise, t, n_s)
-    return float(value)
+    if rho > 0 and comm_norm <= 0:
+        raise ValueError("communication normalizer must be > 0")
+    if rho < 1 and sens_norm <= 0:
+        raise ValueError("sensing normalizer must be > 0")
+    root = _cov_root(qh) if rho < 1 else None
+    return float(_weighted_mi(q, np.asarray(hc, dtype=complex), root, rho, noise, t, n_s,
+                              comm_norm, sens_norm))
 
 
 def _project_psd_trace(q: np.ndarray, budget: float) -> np.ndarray:
@@ -147,12 +142,7 @@ def optimize_weighted_mi(
     root = _cov_root(qh) if rho < 1 else None
 
     def objective(q):
-        value = 0.0
-        if rho > 0:
-            value += rho / comm_norm * comm_mi_bits(q, hc, noise)
-        if rho < 1:
-            value += (1.0 - rho) / sens_norm * sensing_mi_bits(q, root, noise, t, n_s)
-        return value
+        return _weighted_mi(q, hc, root, rho, noise, t, n_s, comm_norm, sens_norm)
 
     def gradient(q):
         g = np.zeros((m, m), dtype=complex)
@@ -195,17 +185,6 @@ def optimize_weighted_mi(
     )
 
 
-def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Factor F with F F^H = matrix, reduced to the numerically nonzero rank."""
-    require_psd(matrix, name)
-    vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if vals.size == 0 or vals[0] <= 0:
-        raise ValueError(f"{name} is zero")
-    keep = vals > vals[0] * _RANK_RTOL
-    return vecs[:, keep] * np.sqrt(vals[keep])
-
-
 def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, t: int) -> np.ndarray:
     """Minimize ||Hc X - C||_F^2 subject to X X^H = T * Rs, exactly.
 
@@ -219,7 +198,10 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
         raise ValueError("channel, symbols and radar covariance dimensions do not conform")
     if c.shape[0] > hc.shape[1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
-    f = _psd_factor(t * rs, "radar covariance")
+    vals, vecs = _psd_eigs(t * rs, "radar covariance")
+    if vals.size == 0:
+        raise ValueError("radar covariance is zero")
+    f = vecs * np.sqrt(vals)
     g = f.shape[1]
     if t < g:
         raise ValueError(f"block length T={t} cannot carry a rank-{g} covariance")
@@ -227,22 +209,56 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
     return f @ u @ vh
 
 
-def _pareto_closed_form(hc, c, xs, rho):
-    """Eigen-data of the regularized normal equations behind the Pareto design."""
-    a = rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(hc.shape[1])
-    b = rho * (hc.conj().T @ c) + (1.0 - rho) * xs
+def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
+    """Global minimizer of tr(X^H A X) - 2 Re tr(X^H B) subject to ||X||_F^2 = energy.
+
+    X(lam) = (A + lam I)^{-1} B, with lam found by bisection on the monotone
+    energy curve over lam > -lam_min(A); when even lam -> -lam_min(A) falls
+    short (the hard case) the deficit is filled along the bottom eigenvector.
+    B is a vector or a matrix.  Returns None when the solution is zero.
+    """
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    return vals, vecs, vecs.conj().T @ b
+    bt = vecs.conj().T @ np.reshape(b, (vals.size, -1))
+    energies = np.sum(np.abs(bt) ** 2, axis=1)
+
+    def block_energy(lam):
+        return float(np.sum(energies / (vals + lam) ** 2))
+
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    lo = -vals[0] + 1e-13 * scale
+    if block_energy(lo) < energy:
+        open_modes = vals - vals[0] > 1e-12 * scale
+        coef = np.zeros_like(bt)
+        coef[open_modes] = bt[open_modes] / (vals[open_modes] - vals[0])[:, None]
+        x = vecs @ coef
+        deficit = energy - float(np.linalg.norm(x) ** 2)
+        x[:, 0] += np.sqrt(max(deficit, 0.0)) * vecs[:, 0]
+    else:
+        hi = max(1.0, -vals[0] + scale)
+        while block_energy(hi) > energy:
+            hi = 2.0 * hi + scale
+        for _ in range(300):
+            mid = 0.5 * (lo + hi)
+            if block_energy(mid) > energy:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-16 * max(1.0, abs(hi)):
+                break
+        lam = 0.5 * (lo + hi)
+        x = vecs @ (bt / (vals + lam)[:, None])
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        return None
+    return np.reshape(x * (np.sqrt(energy) / norm), np.shape(b))
 
 
 def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: float, total_energy: float) -> np.ndarray:
     """Trade-off design: min rho*||Hc X - C||^2 + (1-rho)*||X - Xs||^2, ||X||_F^2 = E.
 
-    The stationary point is X(lam) = (A + lam I)^{-1} B with
-    A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs; the multiplier
-    is located by bisection on the monotone energy curve over
-    lam in (-lam_min(A), inf), with the degenerate branch filled along the
-    bottom eigenvector when B has no component there.
+    Expanding the objective leaves tr(X^H A X) - 2 Re tr(X^H B) plus a
+    constant, with A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs,
+    so the design is the sphere-constrained minimizer of _min_on_sphere.
     """
     rho = _check_rho(rho)
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
@@ -252,43 +268,12 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
         raise ValueError("channel, symbols and reference waveform dimensions do not conform")
     if c.shape[0] > hc.shape[1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
-    vals, vecs, bt = _pareto_closed_form(hc, c, xs, rho)
-    energies = np.sum(np.abs(bt) ** 2, axis=1)
-
-    def block_energy(lam):
-        return float(np.sum(energies / (vals + lam) ** 2))
-
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    lo = -vals[0] + 1e-13 * scale
-    if block_energy(lo) < total_energy:
-        # bottom eigen-directions carry no load; fill the deficit along the first one
-        open_modes = vals - vals[0] > 1e-12 * scale
-        coef = np.zeros_like(bt)
-        coef[open_modes] = bt[open_modes] / (vals[open_modes] - vals[0])[:, None]
-        x = vecs @ coef
-        deficit = total_energy - float(np.linalg.norm(x, "fro") ** 2)
-        fill = np.zeros(xs.shape, dtype=complex)
-        fill[:, 0] = np.sqrt(max(deficit, 0.0)) * vecs[:, 0]
-        x = x + fill
-    else:
-        hi = max(1.0, -vals[0] + scale)
-        while block_energy(hi) > total_energy:
-            hi = 2.0 * hi + scale
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if block_energy(mid) > total_energy:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-                break
-        lam = 0.5 * (lo + hi)
-        x = vecs @ (bt / (vals + lam)[:, None])
-    # polish the energy equality to machine precision
-    norm = float(np.linalg.norm(x, "fro"))
-    if norm == 0.0:
+    a = rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(hc.shape[1])
+    b = rho * (hc.conj().T @ c) + (1.0 - rho) * xs
+    x = _min_on_sphere(a, b, total_energy)
+    if x is None:
         raise ValueError("energy target unreachable from a zero stationary solution")
-    return x * (np.sqrt(total_energy) / norm)
+    return x
 
 
 def _pareto_objective(hc, c, xs, rho, x):
@@ -296,6 +281,34 @@ def _pareto_objective(hc, c, xs, rho, x):
         rho * np.linalg.norm(hc @ x - c, "fro") ** 2
         + (1.0 - rho) * np.linalg.norm(x - xs, "fro") ** 2
     )
+
+
+def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):
+    """Cyclic closed-form row updates of the trade-off objective from x.
+
+    With the other rows fixed and the row energy held by the constraint, the
+    objective is linear in row i; `project(direction, row)` maps its descent
+    direction onto the row's feasible set, keeping `row` where it is zero.
+    Sweeps never increase the objective and stop once `settled(previous,
+    objective)` holds.  Returns (x, objective, converged, last improvement).
+    """
+    x = x.copy()
+    resid = c - hc @ x
+    obj = _pareto_objective(hc, c, xs, rho, x)
+    change = np.inf
+    for _ in range(max_sweeps):
+        previous = obj
+        for i in range(x.shape[0]):
+            col = hc[:, i]
+            partial = resid + np.outer(col, x[i])
+            new_row = project(rho * (col.conj() @ partial) + (1.0 - rho) * xs[i], x[i])
+            resid -= np.outer(col, new_row - x[i])
+            x[i] = new_row
+        obj = _pareto_objective(hc, c, xs, rho, x)
+        change = previous - obj
+        if settled(previous, obj):
+            return x, obj, True, change
+    return x, obj, False, change
 
 
 def solve_per_antenna(
@@ -309,9 +322,11 @@ def solve_per_antenna(
 ) -> np.ndarray:
     """Trade-off design with every antenna row locked to the same energy.
 
-    Starts from the row-rescaled total-energy Pareto solution and runs cyclic
-    row updates; each row's conditional minimizer on its energy sphere is
-    closed-form, so the objective is non-increasing at every step.
+    Starts from the row-rescaled total-energy Pareto solution and runs the
+    cyclic row updates of _cyclic_rows; each row's conditional minimizer on
+    its energy sphere is the scaled descent direction, so the objective is
+    non-increasing at every step.  Converged when a sweep improves by less
+    than `tol` relative to the objective (floored at 1).
     """
     rho = _check_rho(rho)
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
@@ -328,54 +343,19 @@ def solve_per_antenna(
             x[i] = root * xs[i] / np.linalg.norm(xs[i])
         else:
             x[i] = np.full(t, root / np.sqrt(t), dtype=complex)
-    obj = _pareto_objective(hc, c, xs, rho, x)
-    resid = c - hc @ x
-    previous = np.inf
-    for _ in range(max_sweeps):
-        previous = obj
-        for i in range(m):
-            col = hc[:, i]
-            partial = resid + np.outer(col, x[i])
-            direction = rho * (col.conj() @ partial) + (1.0 - rho) * xs[i]
-            norm = np.linalg.norm(direction)
-            if norm > 1e-300:
-                new_row = root * direction / norm
-                resid -= np.outer(col, new_row - x[i])
-                x[i] = new_row
-        obj = _pareto_objective(hc, c, xs, rho, x)
-        if previous - obj < tol * max(1.0, abs(previous)):
-            return x
-    raise ConvergenceError(
-        f"per-antenna row sweeps did not settle within {max_sweeps} sweeps",
-        best=x,
-        iterations=max_sweeps,
-        last_change=previous - obj,
+
+    def row_sphere(direction, row):
+        norm = np.linalg.norm(direction)
+        return root * direction / norm if norm > 1e-300 else row
+
+    x, _, converged, change = _cyclic_rows(
+        hc, c, xs, rho, x, row_sphere, max_sweeps,
+        lambda previous, obj: previous - obj < tol * max(1.0, abs(previous)),
     )
-
-
-def _phase_descent(hc, c, xs, rho, x0, modulus, max_sweeps, tol):
-    """Cyclic closed-form phase updates; the objective never increases."""
-    m, t = xs.shape
-    x = x0.copy()
-    resid = c - hc @ x
-    obj = _pareto_objective(hc, c, xs, rho, x)
-    change = np.inf
-    for _ in range(max_sweeps):
-        previous = obj
-        for i in range(m):
-            col = hc[:, i]
-            for j in range(t):
-                partial = resid[:, j] + col * x[i, j]
-                direction = rho * (col.conj() @ partial) + (1.0 - rho) * xs[i, j]
-                if abs(direction) > 1e-300:
-                    new_entry = modulus * direction / abs(direction)
-                    resid[:, j] -= col * (new_entry - x[i, j])
-                    x[i, j] = new_entry
-        obj = _pareto_objective(hc, c, xs, rho, x)
-        change = previous - obj
-        if change < tol:
-            return x, obj, True, change
-    return x, obj, False, change
+    if not converged:
+        raise ConvergenceError(f"per-antenna row sweeps did not settle within {max_sweeps} sweeps",
+                               best=x, iterations=max_sweeps, last_change=change)
+    return x
 
 
 def solve_constant_modulus(
@@ -389,11 +369,11 @@ def solve_constant_modulus(
 ) -> np.ndarray:
     """Trade-off design with every entry held at the given modulus.
 
-    Cyclic coordinate descent on the entry phases: with all other entries
-    fixed, the objective is linear in each unit phasor and minimized by the
-    phase of a closed-form inner product, so sweeps never increase the
-    objective.  The problem is non-convex, so the descent runs from a few
-    deterministic starts (the reference phases, the relaxed total-energy
+    Cyclic coordinate descent on the entry phases (_cyclic_rows with an
+    elementwise-modulus projection): with all other entries fixed, the
+    objective is linear in each unit phasor and minimized by the phase of a
+    closed-form inner product, so sweeps never increase the objective.  The
+    problem is non-convex, so the descent runs from a few deterministic starts (the reference phases, the relaxed total-energy
     solution, and the regularized normal-equations target) and keeps the
     best.  Converged when a full sweep improves by less than `tol`.
     """
@@ -405,19 +385,22 @@ def solve_constant_modulus(
     if rho > 0:
         starts.append(solve_pareto_tradeoff(hc, c, xs, rho, modulus**2 * xs.size))
         starts.append(rho * (hc.conj().T @ c) + (1.0 - rho) * xs)
+
+    def unit_modulus(direction, row):
+        mag = np.abs(direction)
+        live = mag > 1e-300
+        return np.where(live, modulus * direction / np.where(live, mag, 1.0), row)
+
     best = None
     for start in starts:
-        outcome = _phase_descent(
-            hc, c, xs, rho, modulus * np.exp(1j * np.angle(start)), modulus, max_sweeps, tol
+        outcome = _cyclic_rows(
+            hc, c, xs, rho, modulus * np.exp(1j * np.angle(start)), unit_modulus, max_sweeps,
+            lambda previous, obj: previous - obj < tol,
         )
         if best is None or outcome[1] < best[1]:
             best = outcome
     x, obj, converged, change = best
     if not converged:
-        raise ConvergenceError(
-            f"constant-modulus phase sweeps did not settle within {max_sweeps} sweeps",
-            best=x,
-            iterations=max_sweeps,
-            last_change=change,
-        )
+        raise ConvergenceError(f"constant-modulus phase sweeps did not settle within {max_sweeps} sweeps",
+                               best=x, iterations=max_sweeps, last_change=change)
     return x

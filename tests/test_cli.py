@@ -25,6 +25,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             cfg(scenario="isac_tradeoff", rho_list=(0.5, 1.5))
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("m", "4"), ("trials", True), ("seed", 1.0), ("p_t", "1"),
+        ("noise_var", False), ("p_t", float("nan")), ("power_list", [1.0, "2"]),
+        ("rho_list", [True]), ("snr_db_list", 10.0), ("out_path", 5),
+    ])
+    def test_rejects_wrong_field_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            config_from_dict({"scenario": "capacity_sweep", field: value})
+
+    def test_accepts_integers_for_float_fields(self):
+        config = config_from_dict({"scenario": "capacity_sweep", "p_t": 2, "power_list": [1, 2.5]})
+        assert config.power_list == (1.0, 2.5)
+
     def test_rejects_unknown_config_keys(self):
         with pytest.raises(ValueError):
             config_from_dict({"scenario": "capacity_sweep", "bogus": 1})
@@ -80,6 +93,20 @@ class TestRunScenario:
         data = [r.metrics["comm_bits"] for r in results if r.trial.isdigit()]
         mean_row = next(r for r in results if r.trial == "mean")
         assert abs(mean_row.metrics["comm_bits"] - np.mean(data)) < 1e-12
+
+    def test_duplicate_points_aggregate_separately(self):
+        config = cfg(scenario="mmwave_estimation", snr_db_list=(-10.0, -10.0), trials=3,
+                     seed=3, l=2)
+        results = run_scenario(config)
+        means = [r for r in results if r.trial == "mean"]
+        assert len(means) == 2
+        for point, mean_row in enumerate(means):
+            trials = results[point * 3:(point + 1) * 3]
+            expected = np.mean([r.metrics["gain_rmse"] for r in trials])
+            assert mean_row.metrics["gain_rmse"] == expected
+        # every trial at the first copy misses a path; the second copy differs
+        assert means[0].metrics["gain_rmse"] == 1.0
+        assert means[1].metrics["gain_rmse"] != 1.0
 
     def test_identical_across_thread_counts(self):
         base = dict(scenario="mmwave_estimation", m=2, n_s=2, d=2, t=4, n_sc=8,
@@ -179,6 +206,15 @@ class TestMain:
         code = main(["capacity_sweep", "--m", "0"])
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"trials": 2.5}, {"m": "4"}, {"trials": True}])
+    def test_wrong_config_types_exit_one_with_message(self, tmp_path, capsys, config):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["capacity_sweep", "--config", str(config_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config field") and err.count("\n") == 1
 
     def test_missing_config_file_exits_nonzero(self, capsys):
         code = main(["capacity_sweep", "--config", "/nonexistent/cfg.json"])

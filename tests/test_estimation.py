@@ -291,3 +291,15 @@ class TestObservationFile:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError):
             read_observations(path)
+
+    def test_rejects_truncated_header(self, tmp_path):
+        dict_tx, dict_rx, probes = make_setup()
+        obs = observe([GridPath(0, 0, 0, 0, 1.0, 0.0)], dict_tx, dict_rx, probes)
+        path = tmp_path / "obs.bin"
+        write_observations(obs, path)
+        full = path.read_bytes()
+        magic_len = len(b"ISACOBS1")
+        for cut in (magic_len + 2, magic_len + 12, magic_len + 35):
+            path.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                read_observations(path)
