@@ -1,15 +1,46 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from isacsim import NoiseSpec, comm_capacity
+from isacsim import (
+    NoiseSpec, comm_capacity, optimal_sensing_waveform, sensing_capacity, solve_pareto_tradeoff,
+)
+from isacsim import cli
 from isacsim.cli import ScenarioConfig, TrialResult, config_from_dict, emit_results, main, run_scenario
 from isacsim.rng import complex_normal, philox_stream
 
 
 def cfg(**kwargs):
     return ScenarioConfig(**kwargs)
+
+
+# Direct library calls on a trial's (seed, trial) stream, written out independently of
+# the CLI: the metrics one sweep point of that trial must report.
+def _direct_capacity(config, gen, power):
+    h = complex_normal(gen, (config.n_c, config.m))
+    return {"comm_bits": comm_capacity(h, power, NoiseSpec(config.noise_var)).bits_per_symbol}
+
+
+def _direct_sensing(config, gen, power):
+    a = complex_normal(gen, (config.m, max(config.m, config.n_s)))
+    qh = a @ a.conj().T / a.shape[1]
+    res = sensing_capacity(qh, config.n_s, config.t, power, NoiseSpec(config.noise_var))
+    return {"sensing_bits": res.bits_per_transmission}
+
+
+def _direct_tradeoff(config, gen, rho):
+    hc = complex_normal(gen, (config.k, config.m))
+    c = complex_normal(gen, (config.k, config.t))
+    a = complex_normal(gen, (config.m, config.m))
+    qh = a @ a.conj().T / config.m
+    xs = optimal_sensing_waveform(qh, config.t, config.p_t, NoiseSpec(config.noise_var)).block.T
+    x = solve_pareto_tradeoff(hc, c, xs, rho, config.t * config.p_t)
+    return {
+        "interference_power": float(np.linalg.norm(hc @ x - c, "fro") ** 2),
+        "waveform_distance": float(np.linalg.norm(x - xs, "fro") ** 2),
+    }
 
 
 class TestScenarioConfig:
@@ -50,20 +81,61 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             run_scenario(cfg(scenario="sensing_sweep", m=4, t=2))
 
+    @pytest.mark.parametrize("fields_, message", [
+        (dict(scenario="sensing_sweep", m=4, t=2), "block length t must be >= m"),
+        (dict(scenario="isac_tradeoff", m=4, t=2), "block length t must be >= m"),
+        (dict(scenario="mmwave_estimation", m=4, n_s=4, d=2), "both array sizes"),
+        (dict(scenario="mmwave_estimation", l=5, d=4), "more resolvable paths"),
+        (dict(scenario="beam_scan", m=8, d=4), "dictionary size d must be >= m"),
+        (dict(scenario="capacity_sweep", power_list=()), "no parameter points"),
+        (dict(scenario="capacity_sweep", obs_path="obs.bin"), "only produced by mmwave_estimation"),
+    ], ids=["sensing_t", "tradeoff_t", "estimation_d", "estimation_l", "beam_d", "no_points",
+            "obs_elsewhere"])
+    def test_preconditions_fail_when_built(self, fields_, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**fields_)
+
+    def test_threads_upper_bound(self):
+        # builds configs only: no pool, so no thread is started
+        assert config_from_dict({"scenario": "capacity_sweep", "threads": 256}).threads == 256
+        with pytest.raises(ValueError, match="^config field threads must be at most 256$"):
+            config_from_dict({"scenario": "capacity_sweep", "threads": 257})
+
 
 class TestRunScenario:
-    def test_capacity_column_matches_direct_call(self):
-        config = cfg(scenario="capacity_sweep", m=2, n_c=2, trials=3, seed=11,
-                     power_list=(1.0, 2.0, 4.0))
+    @pytest.mark.parametrize("scenario, overrides, direct", [
+        ("capacity_sweep", dict(m=2, n_c=2, power_list=(1.0, 2.0, 4.0)), _direct_capacity),
+        ("sensing_sweep", dict(m=2, n_s=3, t=4, power_list=(1.0, 2.0, 4.0)), _direct_sensing),
+        ("isac_tradeoff", dict(m=3, k=2, t=4, rho_list=(0.0, 0.5, 1.0)), _direct_tradeoff),
+    ], ids=["capacity_sweep", "sensing_sweep", "isac_tradeoff"])
+    def test_capacity_column_matches_direct_call(self, scenario, overrides, direct):
+        config = cfg(scenario=scenario, trials=3, seed=11, **overrides)
         results = run_scenario(config)
         rows = [r for r in results if r.trial.isdigit()]
         assert len(rows) == 9
-        noise = NoiseSpec(config.noise_var)
         for row in rows:
             gen = philox_stream(config.seed, stream=int(row.trial))
-            h = complex_normal(gen, (2, 2))
-            direct = comm_capacity(h, row.param_value, noise).bits_per_symbol
-            assert abs(row.metrics["comm_bits"] - direct) < 1e-12
+            for metric, value in direct(config, gen, row.param_value).items():
+                assert abs(row.metrics[metric] - value) < 1e-12
+
+    def test_instance_work_runs_once_per_trial(self, monkeypatch):
+        calls = {"optimal_sensing_waveform": 0, "build_dictionary": 0}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        run_scenario(cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=3, seed=2))
+        assert calls["optimal_sensing_waveform"] == 3  # not trials x 5 rho points
+        run_scenario(cfg(scenario="mmwave_estimation", trials=3, seed=2))
+        assert calls["build_dictionary"] <= 2 * 3  # two dictionaries per trial, not per point
 
     def test_tradeoff_endpoints(self):
         config = cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=2, seed=5,
@@ -236,3 +308,44 @@ class TestMain:
     def test_observation_dump_rejected_elsewhere(self, capsys):
         code = main(["capacity_sweep", "--obs-out", "/tmp/should_not_exist.bin"])
         assert code != 0
+
+    def test_observation_dump_same_across_thread_counts(self, tmp_path):
+        dumps = []
+        for threads in (1, 3):
+            obs_path = tmp_path / f"obs{threads}.bin"
+            code = main(["mmwave_estimation", "--trials", "4", "--seed", "7", "--threads",
+                         str(threads), "--obs-out", str(obs_path), "--out", str(tmp_path / "run.csv")])
+            assert code == 0
+            dumps.append(obs_path.read_bytes())
+        assert dumps[0] == dumps[1]
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"abc"', "null", "3"])
+    def test_config_file_must_hold_object(self, tmp_path, capsys, content):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(content)
+        code = main(["capacity_sweep", "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.name != "scenario"])
+    def test_every_config_field_has_a_flag(self, tmp_path, monkeypatch, capsys, name):
+        spec = ScenarioConfig.__dataclass_fields__[name]
+        kind = spec.type
+        if kind is tuple:
+            value = (0.5, 0.75)
+        elif kind is str:
+            value = str(tmp_path / name)
+        else:  # a valid non-default int or float
+            value = spec.default + 1
+        flag = {"out_path": "out", "obs_path": "obs-out", "snr_db_list": "snr-list"}.get(
+            name, name.replace("_", "-"))
+        text = ",".join(map(str, value)) if kind is tuple else str(value)
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return [TrialResult(config.scenario, "snr_db", 0.0, "0", {"x": 1.0})]
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run)
+        assert main(["mmwave_estimation", f"--{flag}={text}"]) == 0
+        assert getattr(seen[0], name) == value
