@@ -24,7 +24,7 @@ from .estimation import GridPath, estimate_paths, random_probes, synthesize_obse
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
-from .waveform import solve_pareto_tradeoff
+from .waveform import ConvergenceError, solve_pareto_tradeoff
 
 MAX_THREADS = 256  # the pool starts up to this many OS threads
 
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         text = emit_results(run_scenario(cfg), args.format, cfg.out_path or None)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not cfg.out_path:

@@ -25,6 +25,8 @@ from .channel import SteeringDictionary
 from .rng import complex_normal_seeded
 
 _MAGIC = b"ISACOBS1"
+# relative widening of the beam-search pruning bound; see beam_search_angles
+_PRUNE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,20 @@ def beam_search_angles(
     known probe gain of atom q and swept through the Doppler bins, which keeps
     the score exact for on-grid data and bounded under noise.  One pair is
     extracted per round and its reconstruction removed before the next.
+
+    A round scores only the transmit atoms q that can still win.  With z the
+    receive projection and g_q the probe gains, every Doppler bin satisfies
+    |sum_t z[n,t,p] conj(g_q[t]) e^{-2j pi f t / T}| <= sum_t |z[n,t,p]| |g_q[t]|,
+    so bound[p, q] = sum_n (sum_t |z[n,t,p]| |g_q[t]|)^2 / ||g_q||^2 >= score[p, q].
+    Atoms are visited in descending order of max_p bound[p, q], and the round
+    stops at the first q whose bound, widened by the relative margin
+    _PRUNE_RTOL, is below the best score so far; every later atom's bound is
+    no larger.  Rounding moves the score and the bound by a few (T + N_sc) eps
+    relative, below the margin while T + N_sc stays under about 10^6, so a
+    skipped column is strictly below the best one and could neither win nor
+    tie.  Skipped columns stay -inf and every scored column is computed as an
+    exhaustive search computes it, so the argmax, its lowest-flat-index
+    tie-break and the picks are unchanged.
     """
     if num_paths == 0:
         return []
@@ -155,18 +171,25 @@ def beam_search_angles(
     if probes.shape != (dict_tx.geometry.element_count, t):
         raise ValueError("probes must supply one transmit vector per symbol")
     gains = dict_tx.matrix.T @ probes  # (D_tx, T)
-    gain_energy = np.sum(np.abs(gains) ** 2, axis=1)
-    if np.any(np.min(np.abs(gains), axis=1) <= 0):
+    abs_gains = np.abs(gains)
+    gain_energy = np.sum(abs_gains ** 2, axis=1)
+    if np.any(np.min(abs_gains, axis=1) <= 0):
         raise ValueError("probing leaves some transmit atoms unobserved at some symbol")
     detections = []
     chosen = set()
     for _ in range(num_paths):
         z = y @ dict_rx.matrix.conj()  # (N, T, D_rx)
-        scores = np.zeros((dict_rx.size, dict_tx.size))
-        for q in range(dict_tx.size):
+        bound = np.sum((np.abs(z).transpose(0, 2, 1) @ abs_gains.T) ** 2, axis=0) / gain_energy
+        reach = np.max(bound, axis=0) * (1.0 + _PRUNE_RTOL)
+        scores = np.full((dict_rx.size, dict_tx.size), -np.inf)
+        best = -np.inf
+        for q in np.argsort(-reach, kind="stable"):
+            if reach[q] < best:
+                break
             demod = z * gains[q].conj()[None, :, None]
             spectra = np.fft.fft(demod, axis=1)
             scores[:, q] = np.sum(np.max(np.abs(spectra) ** 2, axis=1), axis=0) / gain_energy[q]
+            best = max(best, scores[:, q].max())
         p, q = np.unravel_index(int(np.argmax(scores)), scores.shape)
         if (p, q) in chosen:
             raise ValueError("greedy rounds revisit the same grid cell; paths collide or exceed resolution")

@@ -1,11 +1,13 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isacsim import (
-    NoiseSpec, comm_capacity, optimal_sensing_waveform, sensing_capacity, solve_pareto_tradeoff,
+    ConvergenceError, NoiseSpec, comm_capacity, optimal_sensing_waveform, sensing_capacity,
+    solve_pareto_tradeoff,
 )
 from isacsim import cli
 from isacsim.cli import ScenarioConfig, TrialResult, config_from_dict, emit_results, main, run_scenario
@@ -287,6 +289,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: config field") and err.count("\n") == 1
+
+    def test_solver_convergence_error_exits_one_with_message(self, monkeypatch, capsys):
+        def stalled_trial(config, gen):
+            raise ConvergenceError("row sweeps did not settle within 3 sweeps")
+
+        record = cli._SCENARIO_TABLE["isac_tradeoff"]._replace(trial=stalled_trial)
+        monkeypatch.setitem(cli._SCENARIO_TABLE, "isac_tradeoff", record)
+        code = main(["isac_tradeoff", "--trials", "2", "--threads", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: row sweeps did not settle within 3 sweeps\n"
+
+    def test_noisy_estimation_matches_golden_bytes(self, tmp_path):
+        # written by the exhaustive beam search; the pruned search must reproduce it
+        golden = Path(__file__).parent / "data" / "mmwave_estimation_noisy_seed7.csv"
+        out = tmp_path / "run.csv"
+        code = main(["mmwave_estimation", "--m", "8", "--n-s", "8", "--d", "16", "--l", "3",
+                     "--t", "16", "--n-sc", "32", "--snr-list=-10,0,10", "--trials", "3",
+                     "--seed", "7", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_missing_config_file_exits_nonzero(self, capsys):
         code = main(["capacity_sweep", "--config", "/nonexistent/cfg.json"])

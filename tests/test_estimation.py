@@ -93,6 +93,22 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search_angles(obs, dict_tx, dict_rx, 1, probes)
 
+    def test_clean_round_scores_one_transmit_atom(self, monkeypatch):
+        # a noiseless path on orthonormal atoms has a tight bound no other atom reaches
+        dict_tx, dict_rx, probes = make_setup(d=4)
+        obs = observe([GridPath(2, 3, 1, 4, 1.0, 0.3)], dict_tx, dict_rx, probes)
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        detections = beam_search_angles(obs, dict_tx, dict_rx, 1, probes)
+        assert (detections[0].aoa_index, detections[0].aod_index) == (2, 3)
+        assert len(calls) == 1
+
     def test_requesting_more_paths_than_resolvable(self):
         dict_tx, dict_rx, probes = make_setup()
         obs = observe([GridPath(2, 3, 1, 4, 1.0, 0.3)], dict_tx, dict_rx, probes)

@@ -1,20 +1,31 @@
-"""Property tests of the shared solvers over random inputs.
+"""Property tests of the shared solvers and the path estimator over random inputs.
 
 Each example draws the problem sizes and a seed; the arrays come from that
 seed.  `derandomize` keeps the examples the same from run to run.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isacsim import (
+    ArrayGeometry,
     ConvergenceError,
+    GridPath,
     NoiseSpec,
+    ObservationTensor,
+    beam_search_angles,
+    build_dictionary,
+    estimate_paths,
     optimize_beta_sinr,
+    random_probes,
     solve_constant_modulus,
     solve_pareto_tradeoff,
     solve_per_antenna,
+    synthesize_observations,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -122,3 +133,144 @@ def test_constant_modulus_is_exact_and_no_worse_than_its_starts(instance, rho, m
     for start in starts:
         initial = objective(hc, c, xs, rho, modulus * np.exp(1j * np.angle(start)))
         assert best <= initial + 1e-12 * max(1.0, initial)
+
+
+# ---------------------------------------------------------------------------
+# Beam search and path recovery
+
+SPACING, DURATION, CARRIER = 15e3, 1e-4, 1e6
+
+
+def exhaustive_beam_search(obs, dict_tx, dict_rx, num_paths, probes):
+    """The greedy search scoring every (p, q) hypothesis in every round: the reference."""
+    y = obs.data.copy()
+    gains = dict_tx.matrix.T @ probes
+    gain_energy = np.sum(np.abs(gains) ** 2, axis=1)
+    picks = []
+    for _ in range(num_paths):
+        z = y @ dict_rx.matrix.conj()
+        scores = np.zeros((dict_rx.size, dict_tx.size))
+        for q in range(dict_tx.size):
+            demod = z * gains[q].conj()[None, :, None]
+            spectra = np.fft.fft(demod, axis=1)
+            scores[:, q] = np.sum(np.max(np.abs(spectra) ** 2, axis=1), axis=0) / gain_energy[q]
+        p, q = np.unravel_index(int(np.argmax(scores)), scores.shape)
+        picks.append((int(p), int(q), z[:, :, p] / gains[q][None, :], scores))
+        y = y - (z[:, :, p])[:, :, None] * dict_rx.matrix[:, p][None, None, :]
+    return picks
+
+
+def assert_same_search(obs, dict_tx, dict_rx, num_paths, probes):
+    """beam_search_angles picks what the exhaustive search picks, with identical series."""
+    reference = exhaustive_beam_search(obs, dict_tx, dict_rx, num_paths, probes)
+    cells = [(p, q) for p, q, _, _ in reference]
+    if len(set(cells)) < len(cells):  # the exhaustive search revisits a cell
+        with pytest.raises(ValueError, match="revisit"):
+            beam_search_angles(obs, dict_tx, dict_rx, num_paths, probes)
+        return reference
+    found = beam_search_angles(obs, dict_tx, dict_rx, num_paths, probes)
+    assert [(det.aoa_index, det.aod_index) for det in found] == cells
+    for det, (_, _, series, _) in zip(found, reference):
+        assert np.array_equal(det.series, series)
+    return reference
+
+
+def on_grid_paths(gen, d_rx, d_tx, l, t, n_sc, magnitudes):
+    """l paths on distinct receive and distinct transmit cells, random bins and phases."""
+    rows = gen.choice(d_rx, size=l, replace=False)
+    cols = gen.choice(d_tx, size=l, replace=False)
+    return [
+        GridPath(int(p), int(q), int(gen.integers(t)), int(gen.integers(n_sc)),
+                 float(mag), float(gen.uniform(-np.pi, np.pi)))
+        for p, q, mag in zip(rows, cols, magnitudes)
+    ]
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.integers(2, 20),
+       st.integers(2, 20), st.integers(1, 4), st.sampled_from([None, 30.0, 10.0, 0.0, -10.0]))
+def test_beam_search_matches_exhaustive_search(seed, m, n_s, extra, t, n_sc, l, snr_db):
+    gen = np.random.default_rng(seed)
+    d = max(m, n_s) + extra
+    l = min(l, d)
+    dict_tx = build_dictionary(ArrayGeometry(m), d)
+    dict_rx = build_dictionary(ArrayGeometry(n_s), d)
+    paths = on_grid_paths(gen, d, d, l, t, n_sc, np.ones(l))
+    probes = random_probes(m, t, seed)
+    noise = 0.0 if snr_db is None else l / n_s / 10 ** (snr_db / 10)
+    obs = synthesize_observations(dict_rx, dict_tx, paths, probes, n_sc, SPACING, DURATION, CARRIER,
+                                  noise_variance=noise, seed=seed, stream=2)
+    assert_same_search(obs, dict_tx, dict_rx, l, probes)
+
+
+@pytest.mark.parametrize("m, n_s, d, t, n_sc", [(8, 8, 16, 32, 64), (2, 3, 4, 4, 8), (1, 1, 3, 2, 2)])
+def test_beam_search_on_pure_noise(m, n_s, d, t, n_sc):
+    # no path at all: every bound is loose, so the fewest hypotheses are pruned
+    gen = np.random.default_rng(m * 100 + d)
+    dict_tx = build_dictionary(ArrayGeometry(m), d)
+    dict_rx = build_dictionary(ArrayGeometry(n_s), d)
+    probes = random_probes(m, t, 11)
+    data = cn(gen, n_sc, t, n_s)
+    obs = ObservationTensor(data, SPACING, DURATION, CARRIER)
+    assert_same_search(obs, dict_tx, dict_rx, min(3, d), probes)
+
+
+def test_beam_search_near_tie_between_equal_paths():
+    # probes with orthogonal rows give every transmit atom the same gain energy, so two
+    # unit paths score equally up to rounding and the rounding decides the first pick
+    gen = np.random.default_rng(3)
+    m, d, t, n_sc = 4, 4, 8, 16
+    dict_tx = build_dictionary(ArrayGeometry(m), d)
+    dict_rx = build_dictionary(ArrayGeometry(m), d)
+    probes = np.linalg.qr(cn(gen, t, m))[0].T * np.sqrt(t / m)
+    paths = [GridPath(1, 2, 3, 5, 1.0, 0.4), GridPath(3, 0, 6, 9, 1.0, -2.0)]
+    obs = synthesize_observations(dict_rx, dict_tx, paths, probes, n_sc, SPACING, DURATION, CARRIER)
+    reference = assert_same_search(obs, dict_tx, dict_rx, 2, probes)
+    first = reference[0][3]
+    assert abs(first[1, 2] - first[3, 0]) <= 1e-12 * first.max()
+    assert {(p, q) for p, q, _, _ in reference} == {(1, 2), (3, 0)}
+
+
+def test_beam_search_tie_goes_to_lowest_flat_index_in_any_visit_order():
+    # transmit atom 5 is an exact copy of atom 2, so their score columns are equal to the
+    # bit; the strongest path sits on atom 7, which the bound order visits first
+    m, d, t, n_sc = 4, 8, 8, 16
+    base = build_dictionary(ArrayGeometry(m), d)
+    matrix = base.matrix.copy()
+    matrix[:, 5] = matrix[:, 2]
+    dict_tx = dataclasses.replace(base, matrix=matrix)
+    dict_rx = build_dictionary(ArrayGeometry(4), 4)
+    probes = random_probes(m, t, 21)
+    paths = [GridPath(0, 7, 1, 2, 2.0, 0.3), GridPath(3, 2, 4, 7, 1.0, 1.1)]
+    obs = synthesize_observations(dict_rx, dict_tx, paths, probes, n_sc, SPACING, DURATION, CARRIER)
+    gains = dict_tx.matrix.T @ probes
+    z = obs.data @ dict_rx.matrix.conj()
+    bound = np.sum((np.abs(z).transpose(0, 2, 1) @ np.abs(gains).T) ** 2, axis=0)
+    reach = np.max(bound / np.sum(np.abs(gains) ** 2, axis=1), axis=0)
+    assert int(np.argmax(reach)) == 7  # the visit order is not the index order
+    reference = assert_same_search(obs, dict_tx, dict_rx, 2, probes)
+    second = reference[1][3]
+    assert np.array_equal(second[:, 2], second[:, 5]) and second[3, 2] == second.max()
+    assert [(p, q) for p, q, _, _ in reference] == [(0, 7), (3, 2)]
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 6), st.integers(1, 6), st.integers(2, 24), st.integers(2, 24),
+       st.integers(1, 4))
+def test_noiseless_estimation_round_trip(seed, m, n_s, t, n_sc, l):
+    # square grids make the atoms orthonormal, the regime where greedy recovery is exact
+    gen = np.random.default_rng(seed)
+    l = min(l, m, n_s)
+    dict_tx = build_dictionary(ArrayGeometry(m), m)
+    dict_rx = build_dictionary(ArrayGeometry(n_s), n_s)
+    paths = on_grid_paths(gen, n_s, m, l, t, n_sc, gen.uniform(0.3, 2.0, size=l))
+    truth = {(path.aoa_index, path.aod_index): path for path in paths}
+    probes = random_probes(m, t, seed)
+    obs = synthesize_observations(dict_rx, dict_tx, paths, probes, n_sc, SPACING, DURATION, CARRIER)
+    for order in ("doppler_first", "delay_first"):
+        report = estimate_paths(obs, dict_tx, dict_rx, l, probes, order=order)
+        assert {(est.aoa_index, est.aod_index) for est in report.paths} == set(truth)
+        for est in report.paths:
+            true = truth[(est.aoa_index, est.aod_index)]
+            assert (est.doppler_bin, est.delay_bin) == (true.doppler_bin, true.delay_bin)
+            assert abs(est.gain - true.magnitude * np.exp(1j * true.phase)) < 1e-9
