@@ -212,41 +212,55 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
 def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
     """Global minimizer of tr(X^H A X) - 2 Re tr(X^H B) subject to ||X||_F^2 = energy.
 
-    X(lam) = (A + lam I)^{-1} B, with lam found by bisection on the monotone
-    energy curve over lam > -lam_min(A); when even lam -> -lam_min(A) falls
-    short (the hard case) the deficit is filled along the bottom eigenvector.
-    B is a vector or a matrix.  Returns None when the solution is zero.
+    In the eigenbasis A = sum_i v_i u_i u_i^H (v ascending) with e_i the
+    energy of B along u_i, X(lam) = (A + lam I)^{-1} B has squared norm
+    psi(lam) = sum_i e_i / (v_i + lam)^2, and lam solves psi(lam) = energy on
+    lam > -v_0.  It is found by Newton's method on the secular function
+    phi(lam) = psi^{-1/2} - energy^{-1/2}, whose derivative is
+    psi^{-3/2} sum_i e_i / (v_i + lam)^3.  On (-v_0, inf) phi is increasing
+    and concave, so its tangent lies above it: from a start left of the root
+    (phi < 0) every step lands at or left of the root, and the iterates rise
+    monotonically to it without overshooting.  The start sits just right of
+    the pole, lam = -v_0 + 1e-13 * scale; iteration stops once phi >= 0 or a
+    step no longer increases lam.  lam is carried as its offset lam + v_0
+    from the pole, which keeps its relative precision when the root lies
+    close to the pole.  When psi already falls short at the start (the hard
+    case, B nearly orthogonal to u_0) the open modes take lam = -v_0 and the
+    deficit is filled along u_0.  B is a vector or a matrix; the result is
+    rescaled to norm sqrt(energy).  Returns None when the solution is zero.
     """
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     bt = vecs.conj().T @ np.reshape(b, (vals.size, -1))
     energies = np.sum(np.abs(bt) ** 2, axis=1)
+    gaps = vals - vals[0]
 
-    def block_energy(lam):
-        return float(np.sum(energies / (vals + lam) ** 2))
+    def secular(offset):
+        """psi and sum_i e_i / (v_i + lam)^3 at lam = offset - v_0."""
+        shifted = gaps + offset
+        terms = energies / shifted**2
+        return float(np.sum(terms)), float(np.sum(terms / shifted))
 
     scale = max(1.0, float(np.max(np.abs(vals))))
-    lo = -vals[0] + 1e-13 * scale
-    if block_energy(lo) < energy:
-        open_modes = vals - vals[0] > 1e-12 * scale
+    offset = 1e-13 * scale
+    psi, slope = secular(offset)
+    if psi < energy:
+        open_modes = gaps > 1e-12 * scale
         coef = np.zeros_like(bt)
-        coef[open_modes] = bt[open_modes] / (vals[open_modes] - vals[0])[:, None]
+        coef[open_modes] = bt[open_modes] / gaps[open_modes][:, None]
         x = vecs @ coef
         deficit = energy - float(np.linalg.norm(x) ** 2)
         x[:, 0] += np.sqrt(max(deficit, 0.0)) * vecs[:, 0]
     else:
-        hi = max(1.0, -vals[0] + scale)
-        while block_energy(hi) > energy:
-            hi = 2.0 * hi + scale
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if block_energy(mid) > energy:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(hi)):
+        # the Newton step -phi/phi' is psi (sqrt(psi/energy) - 1) / slope; the cap is a backstop
+        for _ in range(100):
+            step = psi * ((psi / energy) ** 0.5 - 1.0) / slope
+            if not offset + step > offset:
                 break
-        lam = 0.5 * (lo + hi)
-        x = vecs @ (bt / (vals + lam)[:, None])
+            offset += step
+            psi, slope = secular(offset)
+            if psi <= energy:
+                break
+        x = vecs @ (bt / (gaps + offset)[:, None])
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return None

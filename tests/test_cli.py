@@ -312,6 +312,23 @@ class TestMain:
         assert code == 0
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_tradeoff_matches_stored_records(self, tmp_path):
+        # written by the bisection sphere solve; the Newton solve reaches the same
+        # multiplier by another path, so the values agree to rounding, not to the byte
+        stored = json.loads((Path(__file__).parent / "data" / "isac_tradeoff_m16_seed7.json").read_text())
+        out = tmp_path / "run.json"
+        code = main(["isac_tradeoff", "--m", "16", "--k", "4", "--t", "32", "--trials", "8",
+                     "--seed", "7", "--format", "json", "--out", str(out)])
+        assert code == 0
+        records = json.loads(out.read_text())
+
+        def keys(rows):
+            return [{name: v for name, v in row.items() if name != "value"} for row in rows]
+
+        assert keys(records) == keys(stored)
+        np.testing.assert_allclose([row["value"] for row in records], [row["value"] for row in stored],
+                                   rtol=1e-12, atol=1e-12)
+
     def test_missing_config_file_exits_nonzero(self, capsys):
         code = main(["capacity_sweep", "--config", "/nonexistent/cfg.json"])
         assert code != 0

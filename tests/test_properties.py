@@ -1,4 +1,4 @@
-"""Property tests of the shared solvers and the path estimator over random inputs.
+"""Property tests of the shared solvers, water-filling and the path estimator over random inputs.
 
 Each example draws the problem sizes and a seed; the arrays come from that
 seed.  `derandomize` keeps the examples the same from run to run.
@@ -26,7 +26,9 @@ from isacsim import (
     solve_pareto_tradeoff,
     solve_per_antenna,
     synthesize_observations,
+    waterfill,
 )
+from isacsim.waveform import _min_on_sphere
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -66,6 +68,119 @@ def tradeoffs(draw):
     t = draw(st.integers(1, 6))
     gen = np.random.default_rng(draw(seeds))
     return cn(gen, k, m), cn(gen, k, t), cn(gen, m, t), gen
+
+
+def assert_sphere_optimal(a, b, energy, x):
+    """Certify x as the global minimizer of tr(X^H A X) - 2 Re tr(X^H B) on ||X||_F^2 = energy.
+
+    The multiplier is recovered from x alone; stationarity (A + lam I) X = B with
+    lam >= -lam_min(A) on the sphere is the trust-region optimality condition.
+    """
+    n = a.shape[0]
+    x, b = np.reshape(x, (n, -1)), np.reshape(b, (n, -1))
+    lam = np.real(np.vdot(x, b - a @ x)) / energy
+    vals = np.linalg.eigvalsh(a)
+    spectral = np.max(np.abs(vals))
+    assert abs(np.linalg.norm(x) ** 2 - energy) <= 1e-12 * energy
+    residual = np.linalg.norm(a @ x + lam * x - b)
+    assert residual <= 1e-9 * (np.linalg.norm(b) + spectral * np.linalg.norm(x))
+    assert lam >= -vals[0] - 1e-9 * max(1.0, spectral)
+    return lam
+
+
+@st.composite
+def sphere_problems(draw):
+    """(a, b, energy): Pareto-like PSD, beta-like negative semidefinite, or an
+    ill-conditioned spectrum over 1e-8..1e8 whose bottom mode holds 1e-20 of B's
+    energy, so the solve starts right at the pole."""
+    shape = draw(st.sampled_from(["pareto", "negative", "ill"]))
+    n = draw(st.integers(2 if shape == "ill" else 1, 6))
+    cols = draw(st.sampled_from([None, 1, 3]))
+    gen = np.random.default_rng(draw(seeds))
+    energy = 10.0 ** draw(st.floats(-3.0, 3.0))
+    b = cn(gen, n) if cols is None else cn(gen, n, cols)
+    if shape == "pareto":
+        rho = draw(rhos)
+        hc = cn(gen, draw(st.integers(1, n)), n)
+        return rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(n), b, energy
+    if shape == "negative":
+        v = cn(gen, draw(st.integers(1, n)), n)
+        return -(v.conj().T @ v), b, energy
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    q = np.linalg.qr(cn(gen, n, n))[0]
+    vals = np.sort(sign * np.logspace(-8, 8, n))
+    bt = q.conj().T @ np.reshape(b, (n, -1))
+    bt[0] *= np.sqrt(1e-20 * np.sum(np.abs(bt[1:]) ** 2)) / np.linalg.norm(bt[0])
+    return (q * vals) @ q.conj().T, np.reshape(q @ bt, b.shape), energy
+
+
+@PROPERTY
+@given(sphere_problems())
+def test_sphere_solve_meets_its_optimality_certificate(problem):
+    a, b, energy = problem
+    assert_sphere_optimal(a, b, energy, _min_on_sphere(a, b, energy))
+
+
+def test_pareto_hard_case_certificate():
+    # rho = 1 with k < m: B = Hc^H C has no energy on the null space of Hc, and the
+    # least-squares solution falls short of the energy, so the fill carries the rest
+    gen = np.random.default_rng(12)
+    hc, c, xs = cn(gen, 2, 4), cn(gen, 2, 3), cn(gen, 4, 3)
+    short = np.linalg.norm(np.linalg.pinv(hc) @ c) ** 2
+    energy = 4.0 * short
+    x = solve_pareto_tradeoff(hc, c, xs, 1.0, energy)
+    lam = assert_sphere_optimal(hc.conj().T @ hc, hc.conj().T @ c, energy, x)
+    assert abs(lam) <= 1e-12
+    row_space = np.linalg.pinv(hc) @ hc
+    assert np.linalg.norm(x - row_space @ x) ** 2 == pytest.approx(energy - short, rel=1e-9)
+
+
+def test_beta_full_hard_case_certificate():
+    # identity channel and fc orthogonal to fs's top left-singular vector: V^H u has no
+    # component on the bottom eigenvector of -V^H V, and u is too weak to reach the sphere
+    gen = np.random.default_rng(13)
+    m, n_beams, rho = 4, 3, 0.5
+    fs, fc = cn(gen, m, n_beams), cn(gen, m)
+    top = np.linalg.svd(fs)[0][:, 0]
+    fc = 1e-3 * (fc - top * np.vdot(top, fc))
+    res = optimize_beta_sinr(np.eye(m), fc, fs, rho, "full", NoiseSpec(1.0))
+    u, v = np.sqrt(rho) * fc, np.sqrt(1.0 - rho) * fs
+    a = -(v.conj().T @ v)
+    assert_sphere_optimal(a, v.conj().T @ u, float(n_beams), res.beta)
+    bottom = np.linalg.eigh(a)[1][:, 0]
+    assert abs(np.vdot(bottom, res.beta)) ** 2 >= 0.99 * n_beams
+
+
+@PROPERTY
+@given(tradeoffs(), st.lists(rhos, min_size=1, max_size=5), st.floats(0.1, 10.0))
+def test_pareto_trades_interference_for_distance_monotonically(instance, grid, energy):
+    # for any global minimizers at rho1 < rho2, interference cannot rise and distance cannot fall
+    hc, c, xs, _ = instance
+    grid = sorted(set(grid) | {0.0, 1.0})
+    interference, distance = [], []
+    for rho in grid:
+        x = solve_pareto_tradeoff(hc, c, xs, rho, energy)
+        interference.append(np.linalg.norm(hc @ x - c) ** 2)
+        distance.append(np.linalg.norm(x - xs) ** 2)
+    for prev, cur in zip(interference, interference[1:]):
+        assert cur <= prev + 1e-9 * max(1.0, prev)
+    for prev, cur in zip(distance, distance[1:]):
+        assert cur >= prev - 1e-9 * max(1.0, prev)
+
+
+@PROPERTY
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8), st.floats(1e-3, 1e3),
+       st.floats(1e-3, 10.0))
+def test_waterfill_spends_the_budget_at_one_water_level(eigenvalues, budget, variance):
+    alloc = waterfill(eigenvalues, budget, NoiseSpec(variance))
+    w = alloc.water_level
+    floors = variance / alloc.eigenvalues
+    active = alloc.levels > 0
+    # each level is the water level less a floor, so rounding scales with w
+    assert abs(np.sum(alloc.levels) - budget) <= 1e-12 * np.sum(active) * w
+    assert np.all(alloc.levels >= 0.0)
+    np.testing.assert_allclose(alloc.levels[active] + floors[active], w, rtol=1e-12)
+    assert np.all(floors[~active] >= w * (1.0 - 1e-12))
 
 
 @PROPERTY
