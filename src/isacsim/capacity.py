@@ -31,24 +31,24 @@ class CapacityResult:
     allocation: PowerAllocation
 
 
-def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> None:
-    """Raise ValueError unless q is Hermitian positive semidefinite."""
+def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10):
+    """Raise ValueError unless q is Hermitian PSD; return the checked (ascending) eigenpairs."""
     q = np.asarray(q)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"{name} must be square")
     scale = max(1.0, float(np.max(np.abs(q))) if q.size else 1.0)
     if np.max(np.abs(q - q.conj().T)) > tol * scale:
         raise ValueError(f"{name} is not Hermitian")
-    eigmin = float(np.min(np.linalg.eigvalsh((q + q.conj().T) / 2)))
+    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
+    eigmin = float(np.min(vals))
     if eigmin < -tol * scale:
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {eigmin:.3e})")
+    return vals, vecs
 
 
 def _psd_eigs(q: np.ndarray, name: str):
     """Descending nonzero eigenpairs of a matrix that require_psd accepts."""
-    require_psd(q, name)
-    q = np.asarray(q, dtype=complex)
-    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
+    vals, vecs = require_psd(np.asarray(q, dtype=complex), name)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     if vals.size == 0 or vals[0] <= 0:
         return np.zeros(0), vecs[:, :0]

@@ -7,6 +7,7 @@ outputs are byte-identical across runs and thread counts.
 """
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -24,7 +25,7 @@ from .estimation import GridPath, estimate_paths, random_probes, synthesize_obse
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
-from .waveform import ConvergenceError, solve_pareto_tradeoff
+from .waveform import ConvergenceError, _pareto_solver
 
 MAX_THREADS = 256  # the pool starts up to this many OS threads
 
@@ -98,7 +99,8 @@ class ScenarioConfig:
 class TrialResult:
     """One trial's metrics at one sweep point, or a point's mean/std row (wall time 0).
 
-    `wall_time_s` is that point's evaluation alone, without the trial's instance draw.
+    `wall_time_s` is that point's evaluation alone.  The trial's instance draw is not
+    timed; it holds the work all points share, such as isac_tradeoff's eigh of Hc^H Hc.
     """
 
     scenario: str
@@ -150,9 +152,10 @@ def _tradeoff_trial(cfg: ScenarioConfig, gen):
     a = complex_normal(gen, (cfg.m, cfg.m))
     qh = a @ a.conj().T / cfg.m
     xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.T
+    solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
 
     def evaluate(rho, aux_gen) -> dict:
-        x = solve_pareto_tradeoff(hc, c, xs, rho, cfg.t * cfg.p_t)
+        x = solve(rho)
         interference = float(np.linalg.norm(hc @ x - c, "fro") ** 2)
         distance = float(np.linalg.norm(x - xs, "fro") ** 2)
         return {
@@ -188,7 +191,7 @@ def _estimation_trial(cfg: ScenarioConfig, gen):
         noise_var = cfg.l / cfg.n_s / 10 ** (snr_db / 10)
         obs = synthesize_observations(
             dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9,
-            noise_variance=noise_var, seed=int(aux_gen.integers(1 << 32)), stream=2,
+            noise_variance=noise_var, seed=int(aux_gen().integers(1 << 32)), stream=2,
         )
         if obs_path:
             write_observations(obs, obs_path)
@@ -250,7 +253,7 @@ def _beam_scan_trial(cfg: ScenarioConfig, gen):
 
 
 # One record per scenario.  trial(cfg, gen) draws a trial's instance from gen and returns
-# evaluate(point, aux_gen) -> metrics, which draws only from the point's aux_gen;
+# evaluate(point, aux_gen) -> metrics, which draws only from the generator aux_gen() builds;
 # requires holds the (condition on cfg, message) pairs that ScenarioConfig checks.
 Scenario = namedtuple("Scenario", "param_name points trial requires", defaults=((),))
 
@@ -275,8 +278,8 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute every (parameter point, trial) pair and append mean/std rows per point.
 
     One task per trial draws the instance from the (seed, trial) stream and evaluates
-    each point on it with that point's (seed, point, trial) stream.  Rows are merged
-    point-major in submission order, so the output is independent of the thread count.
+    each point on it; aux_gen() builds the point's (seed, point, trial) stream on demand.
+    Rows are merged point-major in submission order, independent of the thread count.
     """
     scenario = _SCENARIO_TABLE[cfg.scenario]
     points = scenario.points(cfg)
@@ -285,7 +288,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         evaluate = scenario.trial(cfg, philox_stream(cfg.seed, stream=trial))
         timed = []
         for pi, point in enumerate(points):
-            aux_gen = philox_stream(cfg.seed, stream=(pi + 1) * 1_000_003 + trial)
+            aux_gen = functools.partial(philox_stream, cfg.seed, (pi + 1) * 1_000_003 + trial)
             # ScenarioConfig allows obs_path only for mmwave_estimation, whose evaluate takes it
             dump = {"obs_path": cfg.obs_path} if cfg.obs_path and pi == trial == 0 else {}
             start = time.perf_counter()

@@ -210,27 +210,25 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
 
 
 def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
-    """Global minimizer of tr(X^H A X) - 2 Re tr(X^H B) subject to ||X||_F^2 = energy.
-
-    In the eigenbasis A = sum_i v_i u_i u_i^H (v ascending) with e_i the
-    energy of B along u_i, X(lam) = (A + lam I)^{-1} B has squared norm
-    psi(lam) = sum_i e_i / (v_i + lam)^2, and lam solves psi(lam) = energy on
-    lam > -v_0.  It is found by Newton's method on the secular function
-    phi(lam) = psi^{-1/2} - energy^{-1/2}, whose derivative is
-    psi^{-3/2} sum_i e_i / (v_i + lam)^3.  On (-v_0, inf) phi is increasing
-    and concave, so its tangent lies above it: from a start left of the root
-    (phi < 0) every step lands at or left of the root, and the iterates rise
-    monotonically to it without overshooting.  The start sits just right of
-    the pole, lam = -v_0 + 1e-13 * scale; iteration stops once phi >= 0 or a
-    step no longer increases lam.  lam is carried as its offset lam + v_0
-    from the pole, which keeps its relative precision when the root lies
-    close to the pole.  When psi already falls short at the start (the hard
-    case, B nearly orthogonal to u_0) the open modes take lam = -v_0 and the
-    deficit is filled along u_0.  B is a vector or a matrix; the result is
-    rescaled to norm sqrt(energy).  Returns None when the solution is zero.
-    """
+    """Minimize tr(X^H A X) - 2 Re tr(X^H B) on ||X||_F^2 = energy: _min_in_basis in A's eigenbasis."""
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    bt = vecs.conj().T @ np.reshape(b, (vals.size, -1))
+    return _min_in_basis(vals, vecs, vecs.conj().T @ np.reshape(b, (vals.size, -1)), energy, np.shape(b))
+
+
+def _min_in_basis(vals, vecs, bt, energy, shape):
+    """That minimizer for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B.
+
+    X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2,
+    e_i the energy of row i of bt; lam > -v_0 solves psi(lam) = energy by Newton's method
+    on phi = psi^{-1/2} - energy^{-1/2}, phi' = psi^{-3/2} sum_i e_i / (v_i + lam)^3.
+    phi is increasing and concave on (-v_0, inf), so from lam = -v_0 + 1e-13 * max|v_i|
+    (phi < 0) the iterates rise to the root without overshoot, until phi >= 0 or lam stalls.
+    lam is held as its offset from the pole, for relative precision there.  That start and
+    the open-mode gap 1e-12 * max|v_i| both scale with A, so (cA, cB) gives the same X.
+    If psi falls short at the start (the hard case, B nearly orthogonal to u_0), the open
+    modes take lam = -v_0 and the deficit is filled along u_0.  For A = 0, X lies along B.
+    Returns X in `shape` at norm sqrt(energy), or None when it is zero.
+    """
     energies = np.sum(np.abs(bt) ** 2, axis=1)
     gaps = vals - vals[0]
 
@@ -238,16 +236,16 @@ def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
         """psi and sum_i e_i / (v_i + lam)^3 at lam = offset - v_0."""
         shifted = gaps + offset
         terms = energies / shifted**2
-        return float(np.sum(terms)), float(np.sum(terms / shifted))
+        return float(terms.sum()), float(terms @ (1.0 / shifted))
 
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale = float(np.max(np.abs(vals)))
     offset = 1e-13 * scale
-    psi, slope = secular(offset)
-    if psi < energy:
+    psi, slope = secular(offset) if offset else (energy, 0.0)
+    if not offset:  # A = 0: X(lam) lies along B for every lam > 0
+        x = vecs @ bt
+    elif psi < energy:
         open_modes = gaps > 1e-12 * scale
-        coef = np.zeros_like(bt)
-        coef[open_modes] = bt[open_modes] / gaps[open_modes][:, None]
-        x = vecs @ coef
+        x = vecs[:, open_modes] @ (bt[open_modes] / gaps[open_modes][:, None])
         deficit = energy - float(np.linalg.norm(x) ** 2)
         x[:, 0] += np.sqrt(max(deficit, 0.0)) * vecs[:, 0]
     else:
@@ -264,17 +262,15 @@ def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return None
-    return np.reshape(x * (np.sqrt(energy) / norm), np.shape(b))
+    return np.reshape(x * (np.sqrt(energy) / norm), shape)
 
 
-def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: float, total_energy: float) -> np.ndarray:
-    """Trade-off design: min rho*||Hc X - C||^2 + (1-rho)*||X - Xs||^2, ||X||_F^2 = E.
+def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
+    """Check a trade-off instance once; return solve(rho), its design at weight rho.
 
-    Expanding the objective leaves tr(X^H A X) - 2 Re tr(X^H B) plus a
-    constant, with A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs,
-    so the design is the sphere-constrained minimizer of _min_on_sphere.
+    Every A(rho) = rho G + (1-rho) I shares the eigenvectors U of G = Hc^H Hc, with eigenvalues
+    rho s + (1-rho) ascending with G's s, so one eigh and the projections serve every rho.
     """
-    rho = _check_rho(rho)
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
     if total_energy <= 0:
         raise ValueError("total energy must be > 0")
@@ -282,12 +278,27 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
         raise ValueError("channel, symbols and reference waveform dimensions do not conform")
     if c.shape[0] > hc.shape[1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
-    a = rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(hc.shape[1])
-    b = rho * (hc.conj().T @ c) + (1.0 - rho) * xs
-    x = _min_on_sphere(a, b, total_energy)
-    if x is None:
-        raise ValueError("energy target unreachable from a zero stationary solution")
-    return x
+    s, u = np.linalg.eigh(hc.conj().T @ hc)
+    p, q = u.conj().T @ (hc.conj().T @ c), u.conj().T @ xs
+
+    def solve(rho: float) -> np.ndarray:
+        rho = _check_rho(rho)
+        x = _min_in_basis(rho * s + (1.0 - rho), u, rho * p + (1.0 - rho) * q, total_energy, xs.shape)
+        if x is None:
+            raise ValueError("energy target unreachable from a zero stationary solution")
+        return x
+
+    return solve
+
+
+def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: float, total_energy: float) -> np.ndarray:
+    """Trade-off design: min rho*||Hc X - C||^2 + (1-rho)*||X - Xs||^2, ||X||_F^2 = E.
+
+    Expanding the objective leaves tr(X^H A X) - 2 Re tr(X^H B) plus a
+    constant, with A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs,
+    so the design is the sphere minimizer; this is a one-rho call of _pareto_solver.
+    """
+    return _pareto_solver(hc, c, xs, total_energy)(rho)
 
 
 def _pareto_objective(hc, c, xs, rho, x):

@@ -121,23 +121,29 @@ class TestRunScenario:
                 assert abs(row.metrics[metric] - value) < 1e-12
 
     def test_instance_work_runs_once_per_trial(self, monkeypatch):
-        calls = {"optimal_sensing_waveform": 0, "build_dictionary": 0}
+        calls = dict.fromkeys(("optimal_sensing_waveform", "build_dictionary", "philox_stream", "eigh"), 0)
 
-        def counting(name):
-            original = getattr(cli, name)
+        def counting(namespace, name):
+            original = getattr(namespace, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(namespace, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(cli, name, counting(name))
+        for name in ("optimal_sensing_waveform", "build_dictionary", "philox_stream"):
+            counting(cli, name)
+        counting(np.linalg, "eigh")
         run_scenario(cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=3, seed=2))
         assert calls["optimal_sensing_waveform"] == 3  # not trials x 5 rho points
+        # per trial: the sensing waveform's, and one basis of Hc^H Hc for all 5 rho points
+        assert calls["eigh"] == 2 * 3
         run_scenario(cfg(scenario="mmwave_estimation", trials=3, seed=2))
         assert calls["build_dictionary"] <= 2 * 3  # two dictionaries per trial, not per point
+        calls["philox_stream"] = 0
+        run_scenario(cfg(scenario="capacity_sweep", trials=3, seed=2))
+        assert calls["philox_stream"] == 3  # the instance streams; no point draws an aux stream
 
     def test_tradeoff_endpoints(self):
         config = cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=2, seed=5,
@@ -310,6 +316,15 @@ class TestMain:
                      "--t", "16", "--n-sc", "32", "--snr-list=-10,0,10", "--trials", "3",
                      "--seed", "7", "--out", str(out)])
         assert code == 0
+        assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("scenario", ["capacity_sweep", "sensing_sweep"])
+    def test_sweep_matches_golden_bytes(self, tmp_path, scenario):
+        # written while every point still built its aux stream and _psd_eigs decomposed
+        # twice; the lazy stream and the single decomposition must reproduce it
+        golden = Path(__file__).parent / "data" / f"{scenario}_seed3.csv"
+        out = tmp_path / "run.csv"
+        assert main([scenario, "--trials", "20", "--seed", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == golden.read_bytes()
 
     def test_tradeoff_matches_stored_records(self, tmp_path):

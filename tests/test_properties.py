@@ -28,7 +28,8 @@ from isacsim import (
     synthesize_observations,
     waterfill,
 )
-from isacsim.waveform import _min_on_sphere
+from isacsim.rng import complex_normal, philox_stream
+from isacsim.waveform import _min_on_sphere, _pareto_solver
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -119,6 +120,79 @@ def sphere_problems(draw):
 def test_sphere_solve_meets_its_optimality_certificate(problem):
     a, b, energy = problem
     assert_sphere_optimal(a, b, energy, _min_on_sphere(a, b, energy))
+
+
+def sphere_objective(a, b, x):
+    n = a.shape[0]
+    x, b = np.reshape(x, (n, -1)), np.reshape(b, (n, -1))
+    return float(np.real(np.vdot(x, a @ x)) - 2.0 * np.real(np.vdot(x, b)))
+
+
+def assert_same_minimizer(a, b, energy, x, y, rtol):
+    """x equals y within rtol, or, where the minimizer is not unique (the hard case
+    leaves the phase and direction of the fill free), both are certified global
+    minimizers with the same objective value."""
+    if np.linalg.norm(x - y) <= rtol * np.sqrt(energy):
+        return
+    assert_sphere_optimal(a, b, energy, x)
+    assert_sphere_optimal(a, b, energy, y)
+    scale = np.max(np.abs(np.linalg.eigvalsh(a))) * energy + np.linalg.norm(b) * np.sqrt(energy)
+    assert abs(sphere_objective(a, b, x) - sphere_objective(a, b, y)) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(sphere_problems(), st.sampled_from([-16.0, -12.0, 12.0]) | st.floats(-16.0, 12.0))
+def test_sphere_solve_is_invariant_to_scaling_a_and_b(problem, exponent):
+    # (cA, cB) has the objective c times that of (A, B): the same minimizer for every c > 0,
+    # also where every eigenvalue of cA lies far below 1
+    a, b, energy = problem
+    c = 10.0**exponent
+    assert_same_minimizer(a, b, energy, _min_on_sphere(c * a, c * b, energy),
+                          _min_on_sphere(a, b, energy), 1e-9)
+
+
+@PROPERTY
+@given(sphere_problems(), st.floats(-6.0, 6.0))
+def test_sphere_solve_scales_with_b_and_the_root_energy(problem, exponent):
+    # X minimizes (A, B, E) exactly when sX minimizes (A, sB, s^2 E)
+    a, b, energy = problem
+    s = 10.0**exponent
+    x = _min_on_sphere(a, b, energy)
+    assert_same_minimizer(a, s * b, s * s * energy, _min_on_sphere(a, s * b, s * s * energy),
+                          s * x, 1e-9)
+
+
+def test_sphere_solve_with_zero_a_lies_along_b():
+    b = cn(np.random.default_rng(4), 3, 2)
+    x = _min_on_sphere(np.zeros((3, 3)), b, 5.0)
+    np.testing.assert_allclose(x, b * np.sqrt(5.0) / np.linalg.norm(b), rtol=1e-14)
+    assert _min_on_sphere(np.zeros((3, 3)), np.zeros((3, 2)), 5.0) is None
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-7])
+def test_pareto_on_a_weak_channel_reaches_least_squares(scale):
+    # rho = 1 at twice the least-squares energy: the fill along the null space of Hc
+    # leaves C reached exactly, however small Hc is
+    gen = philox_stream(5, 0)
+    hc, c = scale * complex_normal(gen, (2, 4)), complex_normal(gen, (2, 3))
+    energy = 2.0 * np.linalg.norm(np.linalg.pinv(hc) @ c) ** 2
+    x = solve_pareto_tradeoff(hc, c, np.zeros((4, 3)), 1.0, energy)
+    assert np.linalg.norm(hc @ x - c) ** 2 <= 1e-25 * np.linalg.norm(c) ** 2
+    assert abs(np.linalg.norm(x) ** 2 - energy) <= 1e-12 * energy
+
+
+@PROPERTY
+@given(tradeoffs(), st.lists(rhos, min_size=1, max_size=4), st.floats(0.1, 10.0), st.booleans())
+def test_shared_basis_solve_matches_a_direct_solve_at_every_rho(instance, grid, energy, past_ls):
+    # one eigenbasis of Hc^H Hc for every rho against _min_on_sphere on A(rho) itself
+    hc, c, xs, _ = instance
+    if past_ls:  # at rho = 1 with k < m this is the hard case
+        energy += np.linalg.norm(np.linalg.pinv(hc) @ c) ** 2
+    solve = _pareto_solver(hc, c, xs, energy)
+    for rho in [0.0, 1.0, *grid]:
+        a = rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(hc.shape[1])
+        b = rho * (hc.conj().T @ c) + (1.0 - rho) * xs
+        assert_same_minimizer(a, b, energy, solve(rho), _min_on_sphere(a, b, energy), 1e-10)
 
 
 def test_pareto_hard_case_certificate():
