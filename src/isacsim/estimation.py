@@ -117,6 +117,8 @@ def synthesize_observations(
     sub_idx = np.arange(n)
     sym_idx = np.arange(1, t + 1)  # symbol index is 1-based
     for path in paths:
+        if not (0 <= path.aoa_index < dict_rx.size and 0 <= path.aod_index < dict_tx.size):
+            raise ValueError("aoa/aod index outside 0..D-1 of its dictionary")
         if not 0 <= path.doppler_bin < t:
             raise ValueError("doppler bin outside 0..T-1")
         if not 0 <= path.delay_bin < n:
@@ -130,6 +132,17 @@ def synthesize_observations(
     if noise_variance > 0:
         data += np.sqrt(noise_variance) * complex_normal_seeded(data.shape, seed, stream)
     return ObservationTensor(data, subcarrier_spacing_hz, symbol_duration_s, carrier_hz)
+
+
+def _pair_scores(z: np.ndarray, gains: np.ndarray, gain_energy: np.ndarray, p, q) -> np.ndarray:
+    """Scores of the pairs (p[i], q[i]), the same to the bit whatever pairs share the block."""
+    spectra = z.transpose(2, 0, 1)[p]  # (B, N, T)
+    spectra *= gains[q].conj()[:, None, :]
+    power = np.abs(np.fft.fft(spectra, out=spectra))  # in place: fewer large temporaries
+    power *= power
+    peaks = np.max(power, axis=2)  # (B, N)
+    sums = np.cumsum(peaks, axis=1)[:, -1] if z.shape[2] > 1 else np.sum(peaks, axis=1)
+    return sums / gain_energy[q]
 
 
 def beam_search_angles(
@@ -147,19 +160,24 @@ def beam_search_angles(
     the score exact for on-grid data and bounded under noise.  One pair is
     extracted per round and its reconstruction removed before the next.
 
-    A round scores only the transmit atoms q that can still win.  With z the
-    receive projection and g_q the probe gains, every Doppler bin satisfies
+    A round scores only the pairs that can still win.  With z the receive
+    projection and g_q the probe gains, every Doppler bin satisfies
     |sum_t z[n,t,p] conj(g_q[t]) e^{-2j pi f t / T}| <= sum_t |z[n,t,p]| |g_q[t]|,
     so bound[p, q] = sum_n (sum_t |z[n,t,p]| |g_q[t]|)^2 / ||g_q||^2 >= score[p, q].
-    Atoms are visited in descending order of max_p bound[p, q], and the round
-    stops at the first q whose bound, widened by the relative margin
-    _PRUNE_RTOL, is below the best score so far; every later atom's bound is
-    no larger.  Rounding moves the score and the bound by a few (T + N_sc) eps
-    relative, below the margin while T + N_sc stays under about 10^6, so a
-    skipped column is strictly below the best one and could neither win nor
-    tie.  Skipped columns stay -inf and every scored column is computed as an
-    exhaustive search computes it, so the argmax, its lowest-flat-index
-    tie-break and the picks are unchanged.
+    Pairs are visited in descending order of bound[p, q], widened by the
+    relative margin _PRUNE_RTOL, in blocks of 1, 2, 4, ... up to D_rx pairs
+    (one transmit atom's column, so a low-SNR round that scores nearly every
+    pair handles no larger arrays than a per-atom search).  The round stops at
+    the first pair whose widened bound is below the best score so far; every
+    later pair's is no larger.  Rounding moves the score and the bound by a
+    few (T + N_sc) eps relative, below the margin while T + N_sc stays under
+    about 10^6, so a skipped pair is strictly below the best one and could
+    neither win nor tie.  Skipped pairs stay -inf.  A scored pair's score is
+    the exhaustive search's to the bit, whatever block it falls in: the FFT
+    and the max act lane by lane, and the subcarrier sum runs in sequence, as
+    NumPy sums an (N, D_rx) array down its columns (np.sum over a one-column
+    block would sum pairwise, and so does NumPy when D_rx = 1).  So the
+    argmax, its lowest-flat-index tie-break and the picks are unchanged.
     """
     if num_paths == 0:
         return []
@@ -180,23 +198,22 @@ def beam_search_angles(
     for _ in range(num_paths):
         z = y @ dict_rx.matrix.conj()  # (N, T, D_rx)
         bound = np.sum((np.abs(z).transpose(0, 2, 1) @ abs_gains.T) ** 2, axis=0) / gain_energy
-        reach = np.max(bound, axis=0) * (1.0 + _PRUNE_RTOL)
-        scores = np.full((dict_rx.size, dict_tx.size), -np.inf)
-        best = -np.inf
-        for q in np.argsort(-reach, kind="stable"):
-            if reach[q] < best:
-                break
-            demod = z * gains[q].conj()[None, :, None]
-            spectra = np.fft.fft(demod, axis=1)
-            scores[:, q] = np.sum(np.max(np.abs(spectra) ** 2, axis=1), axis=0) / gain_energy[q]
-            best = max(best, scores[:, q].max())
-        p, q = np.unravel_index(int(np.argmax(scores)), scores.shape)
+        reach = bound.ravel() * (1.0 + _PRUNE_RTOL)
+        order = np.argsort(-reach, kind="stable")
+        scores = np.full(reach.size, -np.inf)
+        best, start, width = -np.inf, 0, 1
+        while start < order.size and reach[order[start]] >= best:
+            pairs = order[start:start + width]
+            scores[pairs] = _pair_scores(z, gains, gain_energy, *np.divmod(pairs, dict_tx.size))
+            best = max(best, scores[pairs].max())
+            start, width = start + width, min(2 * width, dict_rx.size)
+        p, q = divmod(int(np.argmax(scores)), dict_tx.size)
         if (p, q) in chosen:
             raise ValueError("greedy rounds revisit the same grid cell; paths collide or exceed resolution")
         chosen.add((p, q))
         series = z[:, :, p] / gains[q][None, :]
         y = y - (z[:, :, p])[:, :, None] * dict_rx.matrix[:, p][None, None, :]
-        detections.append(BeamDetection(aod_index=int(q), aoa_index=int(p), series=series))
+        detections.append(BeamDetection(aod_index=q, aoa_index=p, series=series))
     return detections
 
 
@@ -339,5 +356,5 @@ def read_observations(path) -> ObservationTensor:
     expected = int(np.prod(shape)) * 2
     if raw.size != expected:
         raise ValueError(f"truncated observation file: expected {expected} scalars, found {raw.size}")
-    data = (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+    data = raw.view("<c16").astype(complex).reshape(shape)  # keeps signed zeros and infinities
     return ObservationTensor(data, spacing, duration, carrier)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,17 @@ class TestForwardModel:
         bad = GridPath(0, 0, doppler_bin=8, delay_bin=0, magnitude=1.0, phase=0.0)
         with pytest.raises(ValueError):
             observe([bad], dict_tx, dict_rx, probes)
+
+    @pytest.mark.parametrize("field", ["aoa_index", "aod_index"])
+    def test_rejects_grid_index_outside_dictionary(self, field):
+        # index -1 used to wrap to the last atom and index D to raise a bare IndexError
+        dict_tx, dict_rx, probes = make_setup(n_rx=3, d=5)
+        edge = GridPath(0, 0, doppler_bin=1, delay_bin=2, magnitude=1.0, phase=0.0)
+        for index in (0, 4):
+            observe([dataclasses.replace(edge, **{field: index})], dict_tx, dict_rx, probes)
+        for index in (-1, 5):
+            with pytest.raises(ValueError, match="outside 0..D-1"):
+                observe([dataclasses.replace(edge, **{field: index})], dict_tx, dict_rx, probes)
 
 
 class TestBeamSearch:

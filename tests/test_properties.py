@@ -5,11 +5,13 @@ seed.  `derandomize` keeps the examples the same from run to run.
 """
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from isacsim import (
     ArrayGeometry,
@@ -22,12 +24,15 @@ from isacsim import (
     estimate_paths,
     optimize_beta_sinr,
     random_probes,
+    read_observations,
     solve_constant_modulus,
     solve_pareto_tradeoff,
     solve_per_antenna,
     synthesize_observations,
     waterfill,
+    write_observations,
 )
+from isacsim.estimation import _PRUNE_RTOL, _pair_scores
 from isacsim.rng import complex_normal, philox_stream
 from isacsim.waveform import _min_on_sphere, _pareto_solver
 
@@ -330,6 +335,16 @@ def test_constant_modulus_is_exact_and_no_worse_than_its_starts(instance, rho, m
 SPACING, DURATION, CARRIER = 15e3, 1e-4, 1e6
 
 
+def exhaustive_scores(z, gains, gain_energy):
+    """One round's (D_rx, D_tx) score matrix, a whole transmit atom's column at a time."""
+    scores = np.zeros((z.shape[2], gains.shape[0]))
+    for q in range(gains.shape[0]):
+        demod = z * gains[q].conj()[None, :, None]
+        spectra = np.fft.fft(demod, axis=1)
+        scores[:, q] = np.sum(np.max(np.abs(spectra) ** 2, axis=1), axis=0) / gain_energy[q]
+    return scores
+
+
 def exhaustive_beam_search(obs, dict_tx, dict_rx, num_paths, probes):
     """The greedy search scoring every (p, q) hypothesis in every round: the reference."""
     y = obs.data.copy()
@@ -338,11 +353,7 @@ def exhaustive_beam_search(obs, dict_tx, dict_rx, num_paths, probes):
     picks = []
     for _ in range(num_paths):
         z = y @ dict_rx.matrix.conj()
-        scores = np.zeros((dict_rx.size, dict_tx.size))
-        for q in range(dict_tx.size):
-            demod = z * gains[q].conj()[None, :, None]
-            spectra = np.fft.fft(demod, axis=1)
-            scores[:, q] = np.sum(np.max(np.abs(spectra) ** 2, axis=1), axis=0) / gain_energy[q]
+        scores = exhaustive_scores(z, gains, gain_energy)
         p, q = np.unravel_index(int(np.argmax(scores)), scores.shape)
         picks.append((int(p), int(q), z[:, :, p] / gains[q][None, :], scores))
         y = y - (z[:, :, p])[:, :, None] * dict_rx.matrix[:, p][None, None, :]
@@ -444,6 +455,50 @@ def test_beam_search_tie_goes_to_lowest_flat_index_in_any_visit_order():
 
 
 @PROPERTY
+@given(seeds, st.integers(1, 70), st.integers(1, 40), st.integers(1, 20), st.integers(1, 20),
+       st.floats(-100, 100))
+def test_pair_scores_equal_exhaustive_columns_in_blocks_of_any_width(seed, n, t, d_rx, d_tx, log_scale):
+    # a one-pair block sums its subcarriers like any other: np.sum over a one-column
+    # block would sum pairwise and move the score by an ulp
+    gen = np.random.default_rng(seed)
+    z = cn(gen, n, t, d_rx) * 10.0 ** log_scale
+    gains = cn(gen, d_tx, t)
+    gain_energy = np.sum(np.abs(gains) ** 2, axis=1)
+    reference = exhaustive_scores(z, gains, gain_energy).ravel()
+    order = gen.permutation(d_rx * d_tx)
+    for width in (1, 2, d_rx):
+        for start in range(0, order.size, width):
+            pairs = order[start:start + width]
+            got = _pair_scores(z, gains, gain_energy, *np.divmod(pairs, d_tx))
+            assert np.array_equal(got, reference[pairs])
+
+
+def test_beam_search_tie_split_across_blocks_of_different_widths():
+    # transmit atom 5 copies atom 2, so the path's pairs (3, 2) and (3, 5) tie to the bit
+    # in bound and score; they are visited first and second, in blocks of widths 1 and 2
+    m, d, t, n_sc = 4, 8, 8, 16
+    base = build_dictionary(ArrayGeometry(m), d)
+    matrix = base.matrix.copy()
+    matrix[:, 5] = matrix[:, 2]
+    dict_tx = dataclasses.replace(base, matrix=matrix)
+    dict_rx = build_dictionary(ArrayGeometry(4), 4)
+    probes = random_probes(m, t, 21)
+    obs = synthesize_observations(dict_rx, dict_tx, [GridPath(3, 2, 4, 7, 1.0, 1.1)], probes, n_sc,
+                                  SPACING, DURATION, CARRIER)
+    gains = dict_tx.matrix.T @ probes
+    gain_energy = np.sum(np.abs(gains) ** 2, axis=1)
+    z = obs.data @ dict_rx.matrix.conj()
+    bound = np.sum((np.abs(z).transpose(0, 2, 1) @ np.abs(gains).T) ** 2, axis=0) / gain_energy
+    order = np.argsort(-bound.ravel() * (1.0 + _PRUNE_RTOL), kind="stable")
+    assert list(order[:2]) == [3 * d + 2, 3 * d + 5]
+    first = _pair_scores(z, gains, gain_energy, *np.divmod(order[:1], d))
+    second = _pair_scores(z, gains, gain_energy, *np.divmod(order[1:3], d))
+    assert first[0] == second[0] and first[0] > second[1]
+    reference = assert_same_search(obs, dict_tx, dict_rx, 1, probes)
+    assert (reference[0][0], reference[0][1]) == (3, 2)
+
+
+@PROPERTY
 @given(seeds, st.integers(1, 6), st.integers(1, 6), st.integers(2, 24), st.integers(2, 24),
        st.integers(1, 4))
 def test_noiseless_estimation_round_trip(seed, m, n_s, t, n_sc, l):
@@ -463,3 +518,33 @@ def test_noiseless_estimation_round_trip(seed, m, n_s, t, n_sc, l):
             true = truth[(est.aoa_index, est.aod_index)]
             assert (est.doppler_bin, est.delay_bin) == (true.doppler_bin, true.delay_bin)
             assert abs(est.gain - true.magnitude * np.exp(1j * true.phase)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Observation files
+
+@st.composite
+def observation_tensors(draw):
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)))
+    # any float64, with the edge values drawn often: +-0.0, subnormals, the largest
+    # magnitudes, infinities and NaN
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                             1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan])
+    parts = arrays(np.float64, (2,) + shape, elements=edges | st.floats())
+    data = np.empty(shape, dtype=complex)
+    data.real, data.imag = draw(parts)
+    timing = draw(st.tuples(*[edges | st.floats()] * 3))
+    return ObservationTensor(data, *timing)
+
+
+@PROPERTY
+@given(observation_tensors())
+def test_observation_file_round_trip_is_bit_exact(tmp_path_factory, obs):
+    path = tmp_path_factory.mktemp("obs") / "obs.bin"
+    write_observations(obs, path)
+    loaded = read_observations(path)
+    assert loaded.data.shape == obs.data.shape
+    assert loaded.data.tobytes() == obs.data.tobytes()
+    timing = (obs.subcarrier_spacing_hz, obs.symbol_duration_s, obs.carrier_hz)
+    loaded_timing = (loaded.subcarrier_spacing_hz, loaded.symbol_duration_s, loaded.carrier_hz)
+    assert struct.pack("<ddd", *loaded_timing) == struct.pack("<ddd", *timing)
