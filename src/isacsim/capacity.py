@@ -56,6 +56,12 @@ def _psd_eigs(q: np.ndarray, name: str):
     return vals[keep], vecs[:, keep]
 
 
+def _psd_factor(q: np.ndarray, name: str) -> np.ndarray:
+    """F = V sqrt(lam) from _psd_eigs, so q = F F^H with one column per nonzero eigenvalue."""
+    vals, vecs = _psd_eigs(q, name)
+    return vecs * np.sqrt(vals)
+
+
 def _logdet_bits(m: np.ndarray) -> float:
     """log2 det of the Hermitian part of m."""
     _, logdet = np.linalg.slogdet((m + m.conj().T) / 2)
@@ -77,13 +83,24 @@ def mutual_information_comm(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> f
     return _comm_mi_bits(h, q, noise)
 
 
+def _water_level(floors: np.ndarray, budget: float):
+    """Water level w with sum_g (w - floors_g)^+ = budget, for nonempty ascending floors.
+
+    w = (budget + sum of the k lowest floors) / k at the largest k for which it lies
+    above the k-th floor (Palomar & Fonollosa, IEEE TSP 2005); those k modes are active.
+    """
+    for k in range(floors.size, 0, -1):
+        w = (budget + floors[:k].sum()) / k
+        if w - floors[k - 1] > 0:
+            break
+    return w
+
+
 def waterfill(eigenvalues, budget: float, noise: NoiseSpec) -> PowerAllocation:
     """Allocate `budget` over channel modes by water-filling.
 
-    Solves max sum log2(1 + lam_g * beta_g / sigma^2) subject to
-    sum beta_g = budget, beta_g >= 0.  The active set is found with the exact
-    sorted-eigenvalue deactivation loop: beta_g = (w - sigma^2/lam_g)^+ where
-    w is the absolute water level shared by all active modes.
+    Solves max sum log2(1 + lam_g beta_g / sigma^2) subject to sum beta_g = budget,
+    beta_g >= 0: beta_g = (w - sigma^2/lam_g)^+ at the water level _water_level(sigma^2/lam).
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     if lam.size == 0:
@@ -93,11 +110,7 @@ def waterfill(eigenvalues, budget: float, noise: NoiseSpec) -> PowerAllocation:
     if budget <= 0:
         raise ValueError("power budget must be > 0")
     floor = noise.variance / lam  # ascending since lam is descending
-    w = budget + floor[0]
-    for k in range(lam.size, 0, -1):
-        w = (budget + floor[:k].sum()) / k
-        if w - floor[k - 1] > 0:
-            break
+    w = _water_level(floor, budget)
     levels = np.maximum(w - floor, 0.0)
     return PowerAllocation(levels=levels, water_level=float(w), budget=float(budget), eigenvalues=lam)
 

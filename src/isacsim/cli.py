@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import numbers
+import re
 import sys
 import time
 from collections import namedtuple
@@ -25,7 +26,7 @@ from .estimation import GridPath, estimate_paths, random_probes, synthesize_obse
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
-from .waveform import ConvergenceError, _pareto_solver
+from .waveform import ConvergenceError, _pareto_solver, _pareto_terms
 
 MAX_THREADS = 256  # the pool starts up to this many OS threads
 
@@ -155,9 +156,7 @@ def _tradeoff_trial(cfg: ScenarioConfig, gen):
     solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
 
     def evaluate(rho, aux_gen) -> dict:
-        x = solve(rho)
-        interference = float(np.linalg.norm(hc @ x - c, "fro") ** 2)
-        distance = float(np.linalg.norm(x - xs, "fro") ** 2)
+        interference, distance = _pareto_terms(hc, c, xs, solve(rho))
         return {
             "interference_power": interference,
             "waveform_distance": distance,
@@ -352,6 +351,8 @@ _FLAG_NAMES = {"out_path": "out", "obs_path": "obs-out", "snr_db_list": "snr-lis
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # a minus sign before a digit starts a value, as from Python 3.13: "--snr-list -10,0,30"
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     for f in fields(ScenarioConfig)[1:]:  # all but scenario, which is the subcommand

@@ -17,6 +17,7 @@ delay uses the inverse FFT (entries carry exp(-2j pi n tau_x / N_sc)).
 """
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +218,12 @@ def beam_search_angles(
     return detections
 
 
+def _peak(spectrum: np.ndarray, divisor: int):
+    """Bin of the largest magnitude (the lowest wins ties) and its value over divisor."""
+    bin_ = int(np.argmax(np.abs(spectrum)))
+    return bin_, complex(spectrum[bin_] / divisor)
+
+
 def estimate_doppler(h: np.ndarray):
     """Doppler bin and series constant from one coefficient time series.
 
@@ -228,9 +235,7 @@ def estimate_doppler(h: np.ndarray):
         raise ValueError("need at least two symbols")
     if not np.any(h):
         raise ValueError("series is all zero")
-    spectrum = np.fft.fft(h)
-    bin_ = int(np.argmax(np.abs(spectrum)))
-    return bin_, complex(spectrum[bin_] / h.size)
+    return _peak(np.fft.fft(h), h.size)
 
 
 def estimate_delay(c: np.ndarray):
@@ -240,9 +245,7 @@ def estimate_delay(c: np.ndarray):
         raise ValueError("need at least two subcarriers")
     if not np.any(c):
         raise ValueError("vector is all zero")
-    spectrum = np.fft.ifft(c)
-    bin_ = int(np.argmax(np.abs(spectrum)))
-    return bin_, complex(spectrum[bin_])
+    return _peak(np.fft.ifft(c), 1)
 
 
 def estimate_gain_phase(c_l: complex, doppler_correction: complex, tau_s: float, carrier_hz: float) -> complex:
@@ -266,6 +269,11 @@ def _ratio(mags: np.ndarray) -> float:
     return float(top[0] / top[1])
 
 
+# a stage of estimate_paths: the series axis it transforms, its transform and the divisor
+# of what it yields (the first stage's picked vector, the second stage's peak)
+_Stage = namedtuple("_Stage", "axis transform divisor")
+
+
 def estimate_paths(
     obs: ObservationTensor,
     dict_tx: SteeringDictionary,
@@ -283,33 +291,24 @@ def estimate_paths(
     """
     if order not in ("doppler_first", "delay_first"):
         raise ValueError(f"unknown stage order {order!r}")
-    n = obs.n_subcarriers
     t = obs.n_symbols
     detections = beam_search_angles(obs, dict_tx, dict_rx, num_paths, probes)
+    # built after the search: a few more objects alive across it multiplied its page faults
+    delay, doppler = _Stage(0, np.fft.ifft, 1), _Stage(1, np.fft.fft, t)
+    first, second = (doppler, delay) if order == "doppler_first" else (delay, doppler)
     estimates = []
     ratios = np.zeros((len(detections), 2))
     for i, det in enumerate(detections):
-        series = det.series
-        if order == "doppler_first":
-            spectra = np.fft.fft(series, axis=1)  # per subcarrier
-            agg = np.sqrt(np.sum(np.abs(spectra) ** 2, axis=0))
-            f_x = int(np.argmax(agg))
-            c_vec = spectra[:, f_x] / t
-            delay_spec = np.fft.ifft(c_vec)
-            tau_x = int(np.argmax(np.abs(delay_spec)))
-            amplitude = complex(delay_spec[tau_x])
-            ratios[i] = (_ratio(agg), _ratio(np.abs(delay_spec)))
-        else:
-            spectra = np.fft.ifft(series, axis=0)  # per symbol
-            agg = np.sqrt(np.sum(np.abs(spectra) ** 2, axis=1))
-            tau_x = int(np.argmax(agg))
-            a_vec = spectra[tau_x, :]
-            doppler_spec = np.fft.fft(a_vec)
-            f_x = int(np.argmax(np.abs(doppler_spec)))
-            amplitude = complex(doppler_spec[f_x] / t)
-            ratios[i] = (_ratio(np.abs(doppler_spec)), _ratio(agg))
+        spectra = first.transform(det.series, axis=first.axis)
+        agg = np.sqrt(np.sum(np.abs(spectra) ** 2, axis=second.axis))
+        picked = int(np.argmax(agg))
+        spectrum = second.transform(spectra.swapaxes(0, first.axis)[picked] / first.divisor)
+        peak, amplitude = _peak(spectrum, second.divisor)
+        picks = ((picked, _ratio(agg)), (peak, _ratio(np.abs(spectrum))))
+        (f_x, doppler_ratio), (tau_x, delay_ratio) = picks if first is doppler else picks[::-1]
+        ratios[i] = (doppler_ratio, delay_ratio)
         doppler_correction = np.exp(2j * np.pi * f_x / t)
-        tau_s = tau_x / (n * obs.subcarrier_spacing_hz)
+        tau_s = tau_x / (obs.n_subcarriers * obs.subcarrier_spacing_hz)
         gain = estimate_gain_phase(amplitude, doppler_correction, tau_s, obs.carrier_hz)
         estimates.append(
             PathEstimate(aod_index=det.aod_index, aoa_index=det.aoa_index,

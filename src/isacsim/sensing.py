@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PowerAllocation, _psd_eigs, waterfill
+from .capacity import PowerAllocation, _logdet_bits, _psd_eigs, _psd_factor, waterfill
 from .channel import NoiseSpec
 
 
@@ -31,21 +31,27 @@ class EstimationRateResult:
     allocation: Optional[PowerAllocation]
 
 
+def _sensing_mi_bits(f: np.ndarray, gram: np.ndarray, noise: NoiseSpec, rx_count: int, t: int) -> float:
+    """Unchecked (N/T) log2 det(I + F^H G F / sigma^2) for Q_h = F F^H and G = X^H X."""
+    return rx_count / t * _logdet_bits(np.eye(f.shape[1]) + f.conj().T @ gram @ f / noise.variance)
+
+
 def estimation_rate(x: np.ndarray, qh: np.ndarray, noise: NoiseSpec, rx_count: int, t: int) -> float:
     """Sensing mutual information (N/T) log2 det(I + Q_h X^H X / sigma^2), bits/transmission."""
-    x = np.asarray(x, dtype=complex)
-    qh = np.asarray(qh, dtype=complex)
+    x, qh = np.asarray(x, dtype=complex), np.asarray(qh, dtype=complex)
     if x.ndim != 2 or x.shape[0] != t:
         raise ValueError("waveform must be T x M")
     if x.shape[1] != qh.shape[0]:
         raise ValueError("waveform and covariance dimensions do not conform")
+    return _sensing_mi_bits(_psd_factor(qh, "channel covariance"), x.conj().T @ x, noise, rx_count, t)
+
+
+def _probing_allocation(qh: np.ndarray, t: int, power_per_transmission: float, noise: NoiseSpec):
+    """Q_h's nonzero eigenvectors and T*P_t water-filled over them (None when Q_h = 0)."""
     vals, vecs = _psd_eigs(qh, "channel covariance")
-    if vals.size == 0:
-        return 0.0
-    root = vecs * np.sqrt(vals)
-    inner = root.conj().T @ (x.conj().T @ x) @ root  # Hermitian form of Q_h^(1/2) X^H X Q_h^(1/2)
-    eig = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(rx_count / t * np.sum(np.log2(1.0 + np.maximum(eig, 0.0) / noise.variance)))
+    if t < vals.size:
+        raise ValueError(f"block length T={t} cannot fit {vals.size} orthogonal probing columns")
+    return vecs, waterfill(vals, t * power_per_transmission, noise) if vals.size else None
 
 
 def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: float, noise: NoiseSpec) -> SensingWaveform:
@@ -55,27 +61,20 @@ def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: flo
     places the powered eigen-directions on G orthonormal columns drawn from
     the T-point unitary DFT basis, making the output deterministic.
     """
-    vals, vecs = _psd_eigs(qh, "channel covariance")
-    g = vals.size
-    if g == 0:
+    vecs, alloc = _probing_allocation(qh, t, power_per_transmission, noise)
+    if alloc is None:
         raise ValueError("channel covariance is zero; nothing to probe")
-    if t < g:
-        raise ValueError(f"block length T={t} cannot fit {g} orthogonal probing columns")
-    alloc = waterfill(vals, t * power_per_transmission, noise)
     # first G columns of the unitary T-point DFT matrix
     grid = np.arange(t)
-    u_x = np.exp(-2j * np.pi * np.outer(grid, grid[:g]) / t) / np.sqrt(t)
+    u_x = np.exp(-2j * np.pi * np.outer(grid, grid[:vecs.shape[1]]) / t) / np.sqrt(t)
     block = (u_x * np.sqrt(alloc.levels)) @ vecs.conj().T
     return SensingWaveform(block=block, orthobasis=u_x, eigvecs=vecs, allocation=alloc)
 
 
 def sensing_capacity(qh: np.ndarray, rx_count: int, t: int, power_per_transmission: float, noise: NoiseSpec) -> EstimationRateResult:
     """Maximum estimation rate (N/T) sum log2(1 + lam_g beta_g / sigma^2)."""
-    vals, _ = _psd_eigs(qh, "channel covariance")
-    if vals.size == 0:
+    _, alloc = _probing_allocation(qh, t, power_per_transmission, noise)
+    if alloc is None:
         return EstimationRateResult(bits_per_transmission=0.0, allocation=None)
-    if t < vals.size:
-        raise ValueError(f"block length T={t} cannot fit {vals.size} orthogonal probing columns")
-    alloc = waterfill(vals, t * power_per_transmission, noise)
     bits = float(rx_count / t * np.sum(np.log2(1.0 + alloc.eigenvalues * alloc.levels / noise.variance)))
     return EstimationRateResult(bits_per_transmission=bits, allocation=alloc)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _comm_mi_bits, _logdet_bits, _psd_eigs, comm_capacity, require_psd
+from .capacity import _comm_mi_bits, _psd_factor, _water_level, comm_capacity, require_psd
 from .channel import NoiseSpec
-from .sensing import sensing_capacity
+from .sensing import _sensing_mi_bits, sensing_capacity
 
 _LN2 = np.log(2.0)
 
@@ -42,24 +42,13 @@ def interference_power(xc: np.ndarray, hc: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(hc @ xc - c, "fro") ** 2)
 
 
-def _cov_root(qh: np.ndarray) -> np.ndarray:
-    vals, vecs = _psd_eigs(qh, "channel covariance")
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def sensing_mi_bits(q: np.ndarray, qh_root: np.ndarray, noise: NoiseSpec, t: int, n_s: int) -> float:
-    m = qh_root.shape[0]
-    inner = np.eye(m) + t * (qh_root @ q @ qh_root) / noise.variance
-    return n_s / t * _logdet_bits(inner)
-
-
-def _weighted_mi(q, hc, root, rho, noise, t, n_s, comm_norm, sens_norm) -> float:
-    """Unchecked weighted objective; `root` is the covariance square root Q_h^(1/2)."""
+def _weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm) -> float:
+    """Unchecked weighted objective; `f` is the covariance factor, Q_h = F F^H."""
     value = 0.0
     if rho > 0:
         value += rho / comm_norm * _comm_mi_bits(hc, q, noise)
     if rho < 1:
-        value += (1.0 - rho) / sens_norm * sensing_mi_bits(q, root, noise, t, n_s)
+        value += (1.0 - rho) / sens_norm * _sensing_mi_bits(f, t * q, noise, n_s, t)
     return value
 
 
@@ -88,8 +77,8 @@ def weighted_mi_objective(
         raise ValueError("communication normalizer must be > 0")
     if rho < 1 and sens_norm <= 0:
         raise ValueError("sensing normalizer must be > 0")
-    root = _cov_root(qh) if rho < 1 else None
-    return float(_weighted_mi(q, np.asarray(hc, dtype=complex), root, rho, noise, t, n_s,
+    f = _psd_factor(qh, "channel covariance") if rho < 1 else None
+    return float(_weighted_mi(q, np.asarray(hc, dtype=complex), f, rho, noise, t, n_s,
                               comm_norm, sens_norm))
 
 
@@ -97,13 +86,8 @@ def _project_psd_trace(q: np.ndarray, budget: float) -> np.ndarray:
     """Euclidean projection onto {Q Hermitian PSD, trace(Q) <= budget}."""
     vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
     clipped = np.maximum(vals, 0.0)
-    if clipped.sum() > budget:
-        srt = np.sort(vals)[::-1]
-        css = np.cumsum(srt)
-        ks = np.arange(1, srt.size + 1)
-        shift = (css - budget) / ks
-        k = np.max(np.nonzero(srt - shift > 0)[0]) + 1
-        clipped = np.maximum(vals - shift[k - 1], 0.0)
+    if clipped.sum() > budget:  # water-fill the budget over the floors -vals
+        clipped = np.maximum(vals + _water_level(-vals[::-1], budget), 0.0)
     out = (vecs * clipped) @ vecs.conj().T
     return (out + out.conj().T) / 2
 
@@ -139,10 +123,10 @@ def optimize_weighted_mi(
     sens_norm = (
         sensing_capacity(qh, n_s, t, budget, noise).bits_per_transmission if rho < 1 else 1.0
     )
-    root = _cov_root(qh) if rho < 1 else None
+    f = _psd_factor(qh, "channel covariance") if rho < 1 else None
 
     def objective(q):
-        return _weighted_mi(q, hc, root, rho, noise, t, n_s, comm_norm, sens_norm)
+        return _weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm)
 
     def gradient(q):
         g = np.zeros((m, m), dtype=complex)
@@ -150,8 +134,8 @@ def optimize_weighted_mi(
             mid = np.linalg.inv(np.eye(hc.shape[0]) + hc @ q @ hc.conj().T / noise.variance)
             g += rho / (comm_norm * _LN2 * noise.variance) * (hc.conj().T @ mid @ hc)
         if rho < 1:
-            mid = np.linalg.inv(np.eye(m) + t * (root @ q @ root) / noise.variance)
-            g += (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance) * (root @ mid @ root)
+            mid = np.linalg.inv(np.eye(f.shape[1]) + t * (f.conj().T @ q @ f) / noise.variance)
+            g += (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance) * (f @ mid @ f.conj().T)
         return (g + g.conj().T) / 2
 
     q = budget / m * np.eye(m, dtype=complex)
@@ -198,11 +182,10 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
         raise ValueError("channel, symbols and radar covariance dimensions do not conform")
     if c.shape[0] > hc.shape[1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
-    vals, vecs = _psd_eigs(t * rs, "radar covariance")
-    if vals.size == 0:
-        raise ValueError("radar covariance is zero")
-    f = vecs * np.sqrt(vals)
+    f = _psd_factor(t * rs, "radar covariance")
     g = f.shape[1]
+    if g == 0:
+        raise ValueError("radar covariance is zero")
     if t < g:
         raise ValueError(f"block length T={t} cannot carry a rank-{g} covariance")
     u, _, vh = np.linalg.svd(f.conj().T @ hc.conj().T @ c, full_matrices=False)
@@ -301,11 +284,14 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
     return _pareto_solver(hc, c, xs, total_energy)(rho)
 
 
+def _pareto_terms(hc, c, xs, x):
+    """Interference ||Hc X - C||_F^2 and distance ||X - Xs||_F^2 of a trade-off design X."""
+    return float(np.linalg.norm(hc @ x - c, "fro") ** 2), float(np.linalg.norm(x - xs, "fro") ** 2)
+
+
 def _pareto_objective(hc, c, xs, rho, x):
-    return float(
-        rho * np.linalg.norm(hc @ x - c, "fro") ** 2
-        + (1.0 - rho) * np.linalg.norm(x - xs, "fro") ** 2
-    )
+    interference, distance = _pareto_terms(hc, c, xs, x)
+    return rho * interference + (1.0 - rho) * distance
 
 
 def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):

@@ -287,6 +287,29 @@ class TestMain:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_list_value_after_a_space_reads_as_with_equals(self, tmp_path):
+        # argparse before Python 3.13 took "-10,0,30" for an option and exited 2
+        outs = []
+        for form in (["--snr-list", "-10,0,30"], ["--snr-list=-10,0,30"]):
+            outs.append(tmp_path / f"run{len(outs)}.csv")
+            assert main(["mmwave_estimation", *form, "--trials", "2", "--seed", "1",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert b"snr_db,-10.0," in outs[0].read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--rho-list", "--power-list"])
+    def test_out_of_range_negative_list_exits_one_with_message(self, capsys, flag):
+        scenario = "isac_tradeoff" if flag == "--rho-list" else "capacity_sweep"
+        assert main([scenario, flag, "-0.5,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_list_flag_without_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mmwave_estimation", "--snr-list", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config", [{"trials": 2.5}, {"m": "4"}, {"trials": True}])
     def test_wrong_config_types_exit_one_with_message(self, tmp_path, capsys, config):
         config_path = tmp_path / "cfg.json"
@@ -325,6 +348,16 @@ class TestMain:
         golden = Path(__file__).parent / "data" / f"{scenario}_seed3.csv"
         out = tmp_path / "run.csv"
         assert main([scenario, "--trials", "20", "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_many_mode_capacity_matches_golden_bytes(self, tmp_path):
+        # eight modes take part in the water level here, so its summation order shows
+        # in the last bits: a cumulative sum moved 2 of these 144 values by 4.3e-16
+        golden = Path(__file__).parent / "data" / "capacity_sweep_m8_seed2.csv"
+        out = tmp_path / "run.csv"
+        code = main(["capacity_sweep", "--m", "8", "--n-c", "8", "--power-list", "0.1,1,10,100",
+                     "--trials", "10", "--seed", "2", "--out", str(out)])
+        assert code == 0
         assert out.read_bytes() == golden.read_bytes()
 
     def test_tradeoff_matches_stored_records(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,36 @@ class TestEstimatePaths:
             rates.append(wrong / trials)
         assert np.all(np.diff(rates) <= 0.02)  # small slack for Monte-Carlo noise
         assert rates[-1] == 0.0
+
+    def test_noisy_reports_match_golden_bytes(self):
+        # written by the two mirrored stage branches; the shared stage path must reproduce
+        # every field to the bit, in both orders, at T and N_sc that are not powers of two
+        golden = Path(__file__).parent / "data" / "estimate_paths_noisy.txt"
+        assert noisy_report_text() == golden.read_text(encoding="utf-8")
+
+
+def noisy_report_text() -> str:
+    """Every field of 80 noisy estimate_paths reports, floats as repr, one line per path."""
+    lines = []
+    for seed in range(10):
+        for t, n_sc in ((12, 24), (20, 10)):
+            dict_tx, dict_rx, probes = make_setup(m=6, n_rx=5, d=12, t=t, seed=seed)
+            gen = philox_stream(seed, stream=t)
+            cells = zip(gen.choice(12, size=2, replace=False), gen.choice(12, size=2, replace=False))
+            paths = [GridPath(int(p), int(q), int(gen.integers(t)), int(gen.integers(n_sc)),
+                              float(gen.uniform(0.5, 1.5)), float(gen.uniform(-np.pi, np.pi)))
+                     for p, q in cells]
+            for noise in (0.05, 2.0):
+                obs = observe(paths, dict_tx, dict_rx, probes, n_sc=n_sc, noise=noise, seed=seed)
+                for order in ("doppler_first", "delay_first"):
+                    report = estimate_paths(obs, dict_tx, dict_rx, 2, probes, order=order)
+                    head = f"{seed},{t},{n_sc},{noise!r},{order}"
+                    lines.append(f"{head},residual,{report.residual_energy!r}")
+                    for est, ratios in zip(report.paths, report.peak_ratios):
+                        lines.append(f"{head},path,{est.aod_index},{est.aoa_index},{est.doppler_bin},"
+                                     f"{est.delay_bin},{est.gain.real!r},{est.gain.imag!r},"
+                                     f"{float(ratios[0])!r},{float(ratios[1])!r}")
+    return "\n".join(lines) + "\n"
 
 
 class TestObservationFile:

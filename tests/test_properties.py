@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,7 +34,7 @@ from isacsim import (
 )
 from isacsim.estimation import _PRUNE_RTOL, _pair_scores
 from isacsim.rng import complex_normal, philox_stream
-from isacsim.waveform import _min_on_sphere, _pareto_solver
+from isacsim.waveform import _min_on_sphere, _pareto_solver, _project_psd_trace
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -260,6 +260,41 @@ def test_waterfill_spends_the_budget_at_one_water_level(eigenvalues, budget, var
     assert np.all(alloc.levels >= 0.0)
     np.testing.assert_allclose(alloc.levels[active] + floors[active], w, rtol=1e-12)
     assert np.all(floors[~active] >= w * (1.0 - 1e-12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12), st.sampled_from([None, 1.0, -1.0]),
+       seeds, st.floats(0.01, 50.0))
+@example([-3.0, -1.0, -0.5, -2.0, -7.0, -0.1, -4.0, -9.0, -6.0], None, 1, 2.0)  # all negative
+@example([2.0, 1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1], None, 2, 10.0)  # ten active modes
+@example([9.0, 8.5, 8.0, 7.5, 7.0, 6.5, 6.0, 5.5, -1.0, -2.0, -3.0, -4.0], None, 3, 20.0)  # twelve, mixed
+def test_trace_ball_projection_is_the_euclidean_projection(eigenvalues, sign, seed, budget):
+    # sign None keeps the drawn signs; 1.0 and -1.0 make the spectrum nonnegative or nonpositive
+    eigs = np.array(eigenvalues) if sign is None else sign * np.abs(eigenvalues)
+    m = eigs.size
+    gen = philox_stream(seed)
+    u, _ = np.linalg.qr(cn(gen, m, m))
+    q = (u * eigs) @ u.conj().T
+    proj = _project_psd_trace(q, budget)
+    scale = max(1.0, float(np.max(np.abs(eigs))), budget)
+    tol = 1e-12 * m * scale
+    assert np.linalg.eigvalsh(proj).min() >= -tol
+    trace = float(np.trace(proj).real)
+    assert trace <= budget + tol
+    if np.maximum(eigs, 0.0).sum() > budget + tol:  # the water level spends the whole budget
+        assert abs(trace - budget) <= tol
+    # the projection is the feasible point that Q - proj makes an obtuse angle with
+    w = cn(gen, m, m)
+    feasible = [np.zeros((m, m)), budget * np.outer(u[:, -1], u[:, -1].conj())]
+    for k in range(1, m + 1):
+        p = w[:, :k] @ w[:, :k].conj().T
+        feasible.append(p * (budget * gen.uniform(0.0, 1.0) / np.trace(p).real))
+    for p in feasible:
+        assert np.real(np.vdot(q - proj, p - proj)) <= tol * scale
+    # a feasible input comes back unchanged
+    inside = np.abs(eigs) * (0.9 * budget / max(np.abs(eigs).sum(), budget))
+    q_in = (u * inside) @ u.conj().T
+    np.testing.assert_allclose(_project_psd_trace(q_in, budget), q_in, rtol=0, atol=tol)
 
 
 @PROPERTY
