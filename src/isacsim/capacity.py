@@ -15,7 +15,10 @@ class PowerAllocation:
 
     `levels[g]` is the power on the g-th mode of `eigenvalues`, which are
     stored sorted in descending order; active modes share the absolute water
-    level `water_level` and the levels sum to `budget`.
+    level `water_level`.  A level is formed as water_level - floor, so the n
+    levels sum to `budget` only to within (n + 2) n eps water_level (eps the
+    float64 machine epsilon): a budget far below the lowest floor sigma^2/lam
+    is spent in part, or not at all.
     """
 
     levels: np.ndarray
@@ -32,28 +35,36 @@ class CapacityResult:
 
 
 def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10):
-    """Raise ValueError unless q is Hermitian PSD; return the checked (ascending) eigenpairs."""
+    """Raise ValueError unless q, or every matrix of a stack q[..., :, :], is Hermitian PSD.
+
+    Returns the checked (ascending) eigenpairs, stacked like q; each matrix is
+    checked against its own largest entry.
+    """
     q = np.asarray(q)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    if q.ndim < 2 or q.shape[-2] != q.shape[-1]:
         raise ValueError(f"{name} must be square")
-    scale = max(1.0, float(np.max(np.abs(q))) if q.size else 1.0)
-    if np.max(np.abs(q - q.conj().T)) > tol * scale:
+    scale = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1), initial=0.0))
+    herm = q.conj().swapaxes(-2, -1)
+    if np.any(np.max(np.abs(q - herm), axis=(-2, -1), initial=0.0) > tol * scale):
         raise ValueError(f"{name} is not Hermitian")
-    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
-    eigmin = float(np.min(vals))
-    if eigmin < -tol * scale:
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {eigmin:.3e})")
+    vals, vecs = np.linalg.eigh((q + herm) / 2)
+    eigmin = np.min(vals, axis=-1, initial=np.inf)
+    if np.any(eigmin < -tol * scale):
+        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {np.min(eigmin):.3e})")
     return vals, vecs
 
 
 def _psd_eigs(q: np.ndarray, name: str):
-    """Descending nonzero eigenpairs of a matrix that require_psd accepts."""
+    """Descending nonzero eigenpairs of a matrix, or of each matrix of a stack, that require_psd accepts.
+
+    A stack keeps as many pairs as its highest-rank matrix has nonzero eigenvalues;
+    a lower-rank matrix's extra eigenvalues read 0.
+    """
     vals, vecs = require_psd(np.asarray(q, dtype=complex), name)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if vals.size == 0 or vals[0] <= 0:
-        return np.zeros(0), vecs[:, :0]
-    keep = vals > vals[0] * _RANK_RTOL
-    return vals[keep], vecs[:, keep]
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    keep = vals > vals[..., :1] * _RANK_RTOL  # a prefix; empty when the largest is <= 0
+    g = int(np.max(np.sum(keep, axis=-1), initial=0))
+    return np.where(keep, vals, 0.0)[..., :g], vecs[..., :g]
 
 
 def _psd_factor(q: np.ndarray, name: str) -> np.ndarray:

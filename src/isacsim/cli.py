@@ -29,6 +29,7 @@ from .sensing import optimal_sensing_waveform, sensing_capacity
 from .waveform import ConvergenceError, _pareto_solver, _pareto_terms
 
 MAX_THREADS = 256  # the pool starts up to this many OS threads
+BLOCK_TRIALS = 64  # trials per pool task: the unit of work and of timing
 
 
 def _is_number(value) -> bool:
@@ -100,8 +101,10 @@ class ScenarioConfig:
 class TrialResult:
     """One trial's metrics at one sweep point, or a point's mean/std row (wall time 0).
 
-    `wall_time_s` is that point's evaluation alone.  The trial's instance draw is not
-    timed; it holds the work all points share, such as isac_tradeoff's eigh of Hc^H Hc.
+    A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
+    the block's evaluation of that point divided by the trials in the block.  The block's
+    instance draw is not timed; it holds the work all points share, such as
+    isac_tradeoff's stacked eigh of Hc^H Hc.
     """
 
     scenario: str
@@ -147,21 +150,19 @@ def _sensing_trial(cfg: ScenarioConfig, gen):
     return evaluate
 
 
-def _tradeoff_trial(cfg: ScenarioConfig, gen):
-    hc = complex_normal(gen, (cfg.k, cfg.m))
-    c = complex_normal(gen, (cfg.k, cfg.t))
-    a = complex_normal(gen, (cfg.m, cfg.m))
-    qh = a @ a.conj().T / cfg.m
-    xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.T
+def _tradeoff_trial(cfg: ScenarioConfig, gens):
+    """A block of trials as stacks: one stacked eigh for the Q_h checks and sensing
+    waveforms, one for the Hc^H Hc bases, and each rho solves every lane at once."""
+    hc, c, a = (complex_normal(gens, shape) for shape in ((cfg.k, cfg.m), (cfg.k, cfg.t), (cfg.m, cfg.m)))
+    qh = a @ a.conj().swapaxes(-2, -1) / cfg.m
+    xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.swapaxes(-2, -1)
     solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
 
-    def evaluate(rho, aux_gen) -> dict:
+    def evaluate(rho, aux_gens) -> list:
         interference, distance = _pareto_terms(hc, c, xs, solve(rho))
-        return {
-            "interference_power": interference,
-            "waveform_distance": distance,
-            "objective": rho * interference + (1.0 - rho) * distance,
-        }
+        objective = rho * interference + (1.0 - rho) * distance
+        return [{"interference_power": i, "waveform_distance": d, "objective": o}
+                for i, d, o in zip(interference.tolist(), distance.tolist(), objective.tolist())]
 
     return evaluate
 
@@ -251,23 +252,42 @@ def _beam_scan_trial(cfg: ScenarioConfig, gen):
     return evaluate
 
 
-# One record per scenario.  trial(cfg, gen) draws a trial's instance from gen and returns
-# evaluate(point, aux_gen) -> metrics, which draws only from the generator aux_gen() builds;
-# requires holds the (condition on cfg, message) pairs that ScenarioConfig checks.
+def _one_by_one(trial):
+    """Block form of a one-trial draw trial(cfg, gen) -> evaluate(point, aux_gen): the
+    block's trials drawn and evaluated one by one (a dump goes to its first trial)."""
+
+    def block(cfg: ScenarioConfig, gens):
+        evaluates = [trial(cfg, gen) for gen in gens]
+
+        def evaluate(point, aux_gens, **dump) -> list:
+            return [ev(point, aux_gen, **(dump if i == 0 else {}))
+                    for i, (ev, aux_gen) in enumerate(zip(evaluates, aux_gens))]
+
+        return evaluate
+
+    return block
+
+
+# One record per scenario.  trial(cfg, gens) draws the instances of a block of trials, one
+# generator each, and returns evaluate(point, aux_gens) -> one metrics dict per trial, which
+# draws only from the generators aux_gens[i]() build; requires holds the (condition on cfg,
+# message) pairs that ScenarioConfig checks.
 Scenario = namedtuple("Scenario", "param_name points trial requires", defaults=((),))
 
 _PROBES_FIT = (lambda cfg: cfg.t >= cfg.m,
                "block length t must be >= m to fit orthogonal probing columns")
 
 _SCENARIO_TABLE = {
-    "capacity_sweep": Scenario("power", lambda cfg: cfg.power_list, _capacity_trial),
-    "sensing_sweep": Scenario("power", lambda cfg: cfg.power_list, _sensing_trial, (_PROBES_FIT,)),
+    "capacity_sweep": Scenario("power", lambda cfg: cfg.power_list, _one_by_one(_capacity_trial)),
+    "sensing_sweep": Scenario("power", lambda cfg: cfg.power_list, _one_by_one(_sensing_trial),
+                              (_PROBES_FIT,)),
     "isac_tradeoff": Scenario("rho", lambda cfg: cfg.rho_list, _tradeoff_trial, (_PROBES_FIT,)),
-    "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _estimation_trial, (
+    "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _one_by_one(_estimation_trial), (
         (lambda cfg: cfg.d >= max(cfg.m, cfg.n_s), "dictionary size d must be >= both array sizes"),
         (lambda cfg: cfg.l <= cfg.d, "cannot draw more resolvable paths than grid cells per side"),
     )),
-    "beam_scan": Scenario("interval", lambda cfg: tuple(float(j) for j in range(cfg.d)), _beam_scan_trial,
+    "beam_scan": Scenario("interval", lambda cfg: tuple(float(j) for j in range(cfg.d)),
+                          _one_by_one(_beam_scan_trial),
                           ((lambda cfg: cfg.d >= cfg.m, "dictionary size d must be >= m"),)),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
@@ -276,39 +296,47 @@ SCENARIOS = tuple(_SCENARIO_TABLE)
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute every (parameter point, trial) pair and append mean/std rows per point.
 
-    One task per trial draws the instance from the (seed, trial) stream and evaluates
-    each point on it; aux_gen() builds the point's (seed, point, trial) stream on demand.
-    Rows are merged point-major in submission order, independent of the thread count.
+    One task per block of at most BLOCK_TRIALS consecutive trials draws the block's
+    instances, trial i from the (seed, i) stream, and evaluates each point on them;
+    aux_gens[i]() builds the point's (seed, point, trial) stream on demand.  Blocks
+    depend on the trial index alone, and rows are merged point-major in trial order,
+    so the output does not depend on the thread count.
     """
     scenario = _SCENARIO_TABLE[cfg.scenario]
     points = scenario.points(cfg)
 
-    def task(trial: int) -> list:
-        evaluate = scenario.trial(cfg, philox_stream(cfg.seed, stream=trial))
+    def task(block: range) -> list:
+        evaluate = scenario.trial(cfg, [philox_stream(cfg.seed, stream=trial) for trial in block])
         timed = []
         for pi, point in enumerate(points):
-            aux_gen = functools.partial(philox_stream, cfg.seed, (pi + 1) * 1_000_003 + trial)
+            aux_gens = [functools.partial(philox_stream, cfg.seed, (pi + 1) * 1_000_003 + trial)
+                        for trial in block]
             # ScenarioConfig allows obs_path only for mmwave_estimation, whose evaluate takes it
-            dump = {"obs_path": cfg.obs_path} if cfg.obs_path and pi == trial == 0 else {}
+            dump = {"obs_path": cfg.obs_path} if cfg.obs_path and pi == block.start == 0 else {}
             start = time.perf_counter()
-            metrics = evaluate(point, aux_gen, **dump)
-            timed.append((metrics, time.perf_counter() - start))
+            metrics = evaluate(point, aux_gens, **dump)
+            timed.append((metrics, (time.perf_counter() - start) / len(block)))
         return timed
 
-    # tasks draw their instance when they start, so at most `threads` are alive at once
+    blocks = [range(lo, min(lo + BLOCK_TRIALS, cfg.trials)) for lo in range(0, cfg.trials, BLOCK_TRIALS)]
+    # tasks draw their instances when they start, so at most `threads` blocks are alive at once
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        by_trial = list(pool.map(task, range(cfg.trials)))
+        by_block = list(pool.map(task, blocks))
     # trial rows point-major, then mean/std rows per point (a repeated point value stays separate)
     results, summary = [], []
     for pi, point in enumerate(points):
-        rows = [TrialResult(cfg.scenario, scenario.param_name, point, str(tr), *by_trial[tr][pi])
-                for tr in range(cfg.trials)]
+        rows = []
+        for block, timed in zip(blocks, by_block):
+            metrics, share = timed[pi]
+            rows += [TrialResult(cfg.scenario, scenario.param_name, point, str(trial), m, share)
+                     for trial, m in zip(block, metrics)]
         results += rows
         keys = sorted(rows[0].metrics)
-        stacked = {k: np.array([r.metrics[k] for r in rows], dtype=float) for k in keys}
+        # one row per metric: each row reduces along its contiguous axis, in the 1-D sum's order
+        table = np.array([[r.metrics[k] for r in rows] for k in keys], dtype=float)
         for tag, stat in (("mean", np.mean), ("std", np.std)):
             summary.append(TrialResult(cfg.scenario, scenario.param_name, point, tag,
-                                       {k: float(stat(v)) for k, v in stacked.items()}))
+                                       dict(zip(keys, stat(table, axis=1).tolist()))))
     return results + summary
 
 

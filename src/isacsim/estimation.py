@@ -212,9 +212,9 @@ def beam_search_angles(
         if (p, q) in chosen:
             raise ValueError("greedy rounds revisit the same grid cell; paths collide or exceed resolution")
         chosen.add((p, q))
-        series = z[:, :, p] / gains[q][None, :]
-        y = y - (z[:, :, p])[:, :, None] * dict_rx.matrix[:, p][None, None, :]
-        detections.append(BeamDetection(aod_index=q, aoa_index=p, series=series))
+        detections.append(BeamDetection(aod_index=q, aoa_index=p, series=z[:, :, p] / gains[q][None, :]))
+        if len(detections) < num_paths:  # the last round's deflation would go unused
+            y = y - (z[:, :, p])[:, :, None] * dict_rx.matrix[:, p][None, None, :]
     return detections
 
 

@@ -16,15 +16,23 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
+def complex_normal(gen, shape) -> np.ndarray:
     """Draw circularly-symmetric complex Gaussian samples, unit total variance.
 
     Box-Muller on uniform draws: the cosine branch feeds the real component and
-    the sine branch the imaginary one, each with variance 1/2.
+    the sine branch the imaginary one, each with variance 1/2.  Given a sequence of
+    generators, it draws `shape` from each in turn and transforms the draws in one
+    pass, returning them stacked as (len(gen), *shape); the transform acts element
+    by element, so each lane holds its generator's own draw.
     """
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
     n = int(np.prod(shape)) if shape else 1
-    u = gen.random((2, n))
+    if isinstance(gen, np.random.Generator):
+        u = gen.random((2, n))
+    else:
+        gens = list(gen)
+        shape = (len(gens), *shape)
+        u = np.stack([g.random((2, n)) for g in gens], axis=1)  # (2, lanes, n)
     radius = np.sqrt(-np.log1p(-u[0]))  # 1-u in (0,1] keeps the log finite
     angle = 2.0 * np.pi * u[1]
     z = radius * np.cos(angle) + 1j * radius * np.sin(angle)

@@ -199,7 +199,8 @@ def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
 
 
 def _min_in_basis(vals, vecs, bt, energy, shape):
-    """That minimizer for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B.
+    """That minimizer for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B,
+    or for each lane of stacks vals[..., :], vecs[..., :, :] and bt[..., :, :] at once.
 
     X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2,
     e_i the energy of row i of bt; lam > -v_0 solves psi(lam) = energy by Newton's method
@@ -210,42 +211,55 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
     the open-mode gap 1e-12 * max|v_i| both scale with A, so (cA, cB) gives the same X.
     If psi falls short at the start (the hard case, B nearly orthogonal to u_0), the open
     modes take lam = -v_0 and the deficit is filled along u_0.  For A = 0, X lies along B.
-    Returns X in `shape` at norm sqrt(energy), or None when it is zero.
+    Every lane steps, stops and takes its case on its own, from its own arithmetic alone,
+    so a lane's X does not depend on the other lanes.
+    Returns X in `shape` at norm sqrt(energy), or None when it is zero in some lane.
     """
-    energies = np.sum(np.abs(bt) ** 2, axis=1)
-    gaps = vals - vals[0]
+    energies = _sq_sum(bt, 1)
+    gaps = vals - vals[..., :1]
+    scale = np.max(np.abs(vals), axis=-1)
+    flat = scale == 0.0  # A = 0: X(lam) lies along B for every lam > 0, so take lam = 1
 
     def secular(offset):
         """psi and sum_i e_i / (v_i + lam)^3 at lam = offset - v_0."""
-        shifted = gaps + offset
+        shifted = gaps + offset[..., None]
         terms = energies / shifted**2
-        return float(terms.sum()), float(terms @ (1.0 / shifted))
+        return np.sum(terms, axis=-1), np.sum(terms / shifted, axis=-1)
 
-    scale = float(np.max(np.abs(vals)))
-    offset = 1e-13 * scale
-    psi, slope = secular(offset) if offset else (energy, 0.0)
-    if not offset:  # A = 0: X(lam) lies along B for every lam > 0
-        x = vecs @ bt
-    elif psi < energy:
-        open_modes = gaps > 1e-12 * scale
-        x = vecs[:, open_modes] @ (bt[open_modes] / gaps[open_modes][:, None])
-        deficit = energy - float(np.linalg.norm(x) ** 2)
-        x[:, 0] += np.sqrt(max(deficit, 0.0)) * vecs[:, 0]
-    else:
-        # the Newton step -phi/phi' is psi (sqrt(psi/energy) - 1) / slope; the cap is a backstop
+    offset = np.where(flat, 1.0, 1e-13 * scale)
+    psi, slope = secular(offset)
+    hard = ~flat & (psi < energy)
+    active = ~flat & ~hard
+    # the Newton step -phi/phi' is psi (sqrt(psi/energy) - 1) / slope; the cap is a backstop
+    with np.errstate(divide="ignore", invalid="ignore"):  # stopped lanes and closed modes may divide by 0
         for _ in range(100):
-            step = psi * ((psi / energy) ** 0.5 - 1.0) / slope
-            if not offset + step > offset:
+            # np.sqrt, as ** 0.5 would take pow for one lane's scalar and sqrt for a stack
+            moved = offset + psi * (np.sqrt(psi / energy) - 1.0) / slope
+            active &= moved > offset
+            if not active.any():
                 break
-            offset += step
+            offset = np.where(active, moved, offset)
             psi, slope = secular(offset)
-            if psi <= energy:
-                break
-        x = vecs @ (bt / (gaps + offset)[:, None])
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+            active &= psi > energy
+        # hard lanes: the open modes at lam = -v_0, the closed ones empty, then the fill along u_0
+        closed = hard[..., None] & (gaps <= 1e-12 * scale[..., None])
+        coords = bt * np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None]))[..., None]
+    if hard.any():
+        coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
+    x = vecs @ coords
+    norm = np.sqrt(_sq_sum(x))
+    if np.any(norm == 0.0):
         return None
-    return np.reshape(x * (np.sqrt(energy) / norm), shape)
+    x *= (np.sqrt(energy) / norm)[..., None, None]
+    return np.reshape(x, shape)
+
+
+def _sq_sum(z, axes=2):
+    """Sum of |z|^2 over the last `axes` axes of complex z, lane by lane, in one pass over
+    its float view; each sum depends on its own lane's values alone."""
+    v = np.ascontiguousarray(z).view(np.float64)
+    v = v.reshape(v.shape[:v.ndim - axes] + (-1,))
+    return np.einsum("...i,...i->...", v, v)
 
 
 def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
@@ -253,20 +267,26 @@ def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: 
 
     Every A(rho) = rho G + (1-rho) I shares the eigenvectors U of G = Hc^H Hc, with eigenvalues
     rho s + (1-rho) ascending with G's s, so one eigh and the projections serve every rho.
+    Stacks hc[..., :, :], c and xs are a stack of instances: one stacked eigh, and solve(rho)
+    returns their designs, each computed as alone (_min_in_basis lane by lane).
     """
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
     if total_energy <= 0:
         raise ValueError("total energy must be > 0")
-    if hc.shape[1] != xs.shape[0] or c.shape != (hc.shape[0], xs.shape[1]):
+    if hc.shape[-1] != xs.shape[-2] or c.shape[-2:] != (hc.shape[-2], xs.shape[-1]):
         raise ValueError("channel, symbols and reference waveform dimensions do not conform")
-    if c.shape[0] > hc.shape[1]:
+    if c.shape[-2] > hc.shape[-1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
-    s, u = np.linalg.eigh(hc.conj().T @ hc)
-    p, q = u.conj().T @ (hc.conj().T @ c), u.conj().T @ xs
+    hh = hc.conj().swapaxes(-2, -1)
+    s, u = np.linalg.eigh(hh @ hc)
+    uh = u.conj().swapaxes(-2, -1)
+    p, q = uh @ (hh @ c), uh @ xs
 
     def solve(rho: float) -> np.ndarray:
         rho = _check_rho(rho)
-        x = _min_in_basis(rho * s + (1.0 - rho), u, rho * p + (1.0 - rho) * q, total_energy, xs.shape)
+        bt = rho * p
+        bt += (1.0 - rho) * q
+        x = _min_in_basis(rho * s + (1.0 - rho), u, bt, total_energy, q.shape)
         if x is None:
             raise ValueError("energy target unreachable from a zero stationary solution")
         return x
@@ -285,8 +305,9 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
 
 
 def _pareto_terms(hc, c, xs, x):
-    """Interference ||Hc X - C||_F^2 and distance ||X - Xs||_F^2 of a trade-off design X."""
-    return float(np.linalg.norm(hc @ x - c, "fro") ** 2), float(np.linalg.norm(x - xs, "fro") ** 2)
+    """Interference ||Hc X - C||_F^2 and distance ||X - Xs||_F^2 of a trade-off design X,
+    or of each design of a stack."""
+    return _sq_sum(hc @ x - c), _sq_sum(x - xs)
 
 
 def _pareto_objective(hc, c, xs, rho, x):

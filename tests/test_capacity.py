@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isacsim import NoiseSpec, comm_capacity, mutual_information_comm, random_channel, waterfill
+from isacsim.capacity import require_psd
 
 
 def random_psd(dim, trace, seed):
@@ -45,6 +46,24 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information_comm(h, np.array([[1.0, 1.0], [0.0, 1.0]]), NoiseSpec(1.0))
 
+
+
+class TestRequirePsd:
+    def test_stack_returns_each_matrix_checked_alone(self):
+        qs = np.stack([random_psd(3, 2.0, seed) for seed in range(4)])
+        vals, vecs = require_psd(qs)
+        for q, v, u in zip(qs, vals, vecs):
+            alone = require_psd(q)
+            assert np.array_equal(v, alone[0]) and np.array_equal(u, alone[1])
+
+    def test_stack_fails_on_one_bad_matrix(self):
+        good = random_psd(2, 1.0, 5)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            require_psd(np.stack([good, np.diag([1.0, -0.5])]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_psd(np.stack([good, np.array([[1.0, 1.0], [0.0, 1.0]])]))
+        with pytest.raises(ValueError, match="square"):
+            require_psd(np.zeros((2, 2, 3)))
 
 class TestWaterfill:
     def test_symmetric_modes_split_equally(self):

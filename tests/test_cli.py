@@ -121,29 +121,34 @@ class TestRunScenario:
                 assert abs(row.metrics[metric] - value) < 1e-12
 
     def test_instance_work_runs_once_per_trial(self, monkeypatch):
-        calls = dict.fromkeys(("optimal_sensing_waveform", "build_dictionary", "philox_stream", "eigh"), 0)
+        # counts matrices, not calls: isac_tradeoff decomposes a block of trials in one stacked call
+        counts = dict.fromkeys(("optimal_sensing_waveform", "build_dictionary", "philox_stream", "eigh"), 0)
 
-        def counting(namespace, name):
+        def counting(namespace, name, count=lambda *args: 1):
             original = getattr(namespace, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                counts[name] += count(*args)
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(namespace, name, wrapper)
 
-        for name in ("optimal_sensing_waveform", "build_dictionary", "philox_stream"):
+        def matrices(q, *rest):
+            return int(np.prod(np.shape(q)[:-2]))
+
+        for name in ("build_dictionary", "philox_stream"):
             counting(cli, name)
-        counting(np.linalg, "eigh")
+        counting(cli, "optimal_sensing_waveform", matrices)
+        counting(np.linalg, "eigh", matrices)
         run_scenario(cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=3, seed=2))
-        assert calls["optimal_sensing_waveform"] == 3  # not trials x 5 rho points
-        # per trial: the sensing waveform's, and one basis of Hc^H Hc for all 5 rho points
-        assert calls["eigh"] == 2 * 3
+        assert counts["optimal_sensing_waveform"] == 3  # waveforms built: not trials x 5 rho points
+        # per trial: the sensing covariance, and one basis of Hc^H Hc for all 5 rho points
+        assert counts["eigh"] == 2 * 3
         run_scenario(cfg(scenario="mmwave_estimation", trials=3, seed=2))
-        assert calls["build_dictionary"] <= 2 * 3  # two dictionaries per trial, not per point
-        calls["philox_stream"] = 0
+        assert counts["build_dictionary"] <= 2 * 3  # two dictionaries per trial, not per point
+        counts["philox_stream"] = 0
         run_scenario(cfg(scenario="capacity_sweep", trials=3, seed=2))
-        assert calls["philox_stream"] == 3  # the instance streams; no point draws an aux stream
+        assert counts["philox_stream"] == 3  # the instance streams; no point draws an aux stream
 
     def test_tradeoff_endpoints(self):
         config = cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=2, seed=5,
@@ -199,6 +204,55 @@ class TestRunScenario:
         results = run_scenario(cfg(scenario="beam_scan", m=4, d=8, trials=1, seed=0))
         matches = [r.metrics["peak_match"] for r in results if r.trial == "0"]
         assert matches and all(m == 1.0 for m in matches)
+
+
+class TestTrialBlocks:
+    """Runs go in blocks of up to cli.BLOCK_TRIALS trials; isac_tradeoff stacks each block."""
+
+    CONFIG = dict(scenario="isac_tradeoff", m=6, k=2, t=8, rho_list=(0.0, 0.5, 1.0), seed=4)
+
+    def trial_rows(self, trials, **extra):
+        rows = run_scenario(cfg(**self.CONFIG, trials=trials, **extra))
+        return {(r.param_value, r.trial): r.metrics for r in rows if r.trial.isdigit()}
+
+    def test_trial_rows_do_not_depend_on_the_block_they_fall_in(self):
+        n = cli.BLOCK_TRIALS
+        several = self.trial_rows(2 * n + 5)  # three blocks, the last of 5 trials
+        one = self.trial_rows(n)
+        for i in (0, 1, n // 2, n - 1, n, 2 * n + 4):
+            alone = self.trial_rows(i + 1)  # trial i last, in a block of its own size
+            for rho in self.CONFIG["rho_list"]:
+                assert alone[rho, str(i)] == several[rho, str(i)]
+                if i < n:
+                    assert one[rho, str(i)] == several[rho, str(i)]
+
+    def test_bytes_do_not_depend_on_the_thread_count(self):
+        texts = {emit_results(run_scenario(cfg(**self.CONFIG, trials=2 * cli.BLOCK_TRIALS + 5,
+                                               threads=threads)), "json")
+                 for threads in (1, 2, 3)}
+        assert len(texts) == 1
+
+    def test_blocked_rows_match_the_single_instance_path(self):
+        config = cfg(scenario="isac_tradeoff", m=16, k=4, t=32, rho_list=(0.0, 0.5, 1.0),
+                     trials=cli.BLOCK_TRIALS + 6, seed=7)
+        hard = 0
+        for row in run_scenario(config):
+            if not row.trial.isdigit():
+                continue
+            direct = _direct_tradeoff(config, philox_stream(config.seed, int(row.trial)), row.param_value)
+            for metric, value in direct.items():
+                assert row.metrics[metric] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            # at rho = 1 with k < m the hard case reaches C exactly, with energy left to fill
+            hard += row.param_value == 1.0 and row.metrics["interference_power"] < 1e-20
+        assert hard > 0
+
+    def test_a_trial_time_is_its_share_of_the_block_point_time(self):
+        rows = run_scenario(cfg(scenario="capacity_sweep", trials=cli.BLOCK_TRIALS + 1, seed=1,
+                                power_list=(1.0,)))
+        trial_rows = [r for r in rows if r.trial.isdigit()]
+        # a trial's time is its block's point time over the block's trials
+        assert len({r.wall_time_s for r in trial_rows[:cli.BLOCK_TRIALS]}) == 1
+        assert all(r.wall_time_s > 0 for r in trial_rows)
 
 
 class TestEmitResults:

@@ -5,6 +5,7 @@ seed.  `derandomize` keeps the examples the same from run to run.
 """
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -34,7 +35,7 @@ from isacsim import (
 )
 from isacsim.estimation import _PRUNE_RTOL, _pair_scores
 from isacsim.rng import complex_normal, philox_stream
-from isacsim.waveform import _min_on_sphere, _pareto_solver, _project_psd_trace
+from isacsim.waveform import _min_in_basis, _min_on_sphere, _pareto_solver, _project_psd_trace
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -167,12 +168,48 @@ def test_sphere_solve_scales_with_b_and_the_root_energy(problem, exponent):
                           s * x, 1e-9)
 
 
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 3),
+       st.lists(st.sampled_from(["pareto", "negative", "hard", "zero"]), min_size=1, max_size=6),
+       seeds, st.floats(-3.0, 3.0))
+def test_sphere_solve_on_a_stack_gives_each_lane_its_own_solve(n, cols, kinds, seed, exponent):
+    # each lane steps, stops and takes the Newton, hard or A = 0 branch on its own, to the bit
+    gen = np.random.default_rng(seed)
+    problems = []
+    for kind in kinds:
+        hc = cn(gen, max(1, n - 1), n)
+        a = {"pareto": hc.conj().T @ hc + 0.5 * np.eye(n), "negative": -(hc.conj().T @ hc),
+             "hard": hc.conj().T @ hc, "zero": np.zeros((n, n))}[kind]
+        # the hard kind's B lies in the row space of hc, so past its least-squares energy
+        b = hc.conj().T @ cn(gen, hc.shape[0], cols) if kind == "hard" else cn(gen, n, cols)
+        problems.append((a, b))
+    vals, vecs = np.linalg.eigh(np.stack([a for a, _ in problems]))
+    bt = vecs.conj().swapaxes(-2, -1) @ np.stack([b for _, b in problems])
+    energy = 10.0**exponent
+    x = _min_in_basis(vals, vecs, bt, energy, bt.shape)
+    for i, (a, b) in enumerate(problems):
+        assert np.array_equal(x[i], _min_in_basis(vals[i], vecs[i], bt[i], energy, bt[i].shape))
+        assert_sphere_optimal(a, b, energy, x[i])
+
 def test_sphere_solve_with_zero_a_lies_along_b():
     b = cn(np.random.default_rng(4), 3, 2)
     x = _min_on_sphere(np.zeros((3, 3)), b, 5.0)
     np.testing.assert_allclose(x, b * np.sqrt(5.0) / np.linalg.norm(b), rtol=1e-14)
     assert _min_on_sphere(np.zeros((3, 3)), np.zeros((3, 2)), 5.0) is None
 
+
+
+@PROPERTY
+@given(st.lists(seeds, min_size=1, max_size=5), st.lists(st.integers(1, 7), max_size=3))
+def test_complex_normal_over_generators_stacks_each_generator_own_draw(streams, shape):
+    gens = [philox_stream(7, s) for s in streams]
+    alone = [philox_stream(7, s) for s in streams]
+    for _ in range(2):  # the second draw continues every stream
+        stacked = complex_normal(gens, shape)
+        assert stacked.shape == (len(streams), *shape)
+        for lane, gen in zip(stacked, alone):
+            assert np.array_equal(lane, complex_normal(gen, shape))
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-7])
 def test_pareto_on_a_weak_channel_reaches_least_squares(scale):
@@ -261,6 +298,20 @@ def test_waterfill_spends_the_budget_at_one_water_level(eigenvalues, budget, var
     np.testing.assert_allclose(alloc.levels[active] + floors[active], w, rtol=1e-12)
     assert np.all(floors[~active] >= w * (1.0 - 1e-12))
 
+
+
+@PROPERTY
+@given(st.lists(st.floats(-20.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=12),
+       st.floats(-20.0, 3.0), st.floats(1e-3, 10.0))
+@example([1e-20, 1.0], -10.0, 1.0)  # 1e-10 over floors 1 and 1e20: 8e-8 of it is lost
+def test_waterfill_spends_the_budget_to_within_rounding_at_the_water_level(eigenvalues, exponent,
+                                                                           variance):
+    # the PowerAllocation bound, for budgets from 1e-20 to 1e3 times the lowest floor
+    budget = variance / max(eigenvalues) * 10.0**exponent
+    alloc = waterfill(eigenvalues, budget, NoiseSpec(variance))
+    n = len(eigenvalues)
+    assert np.all(alloc.levels >= 0.0)
+    assert abs(math.fsum(alloc.levels) - budget) <= (n + 2) * n * np.finfo(float).eps * alloc.water_level
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12), st.sampled_from([None, 1.0, -1.0]),

@@ -93,6 +93,18 @@ class TestOptimalSensingWaveform:
             optimal_sensing_waveform(np.zeros((3, 3)), 4, 1.0, NoiseSpec(1.0))
 
 
+    def test_stack_gives_each_covariance_its_own_waveform(self):
+        # ranks 3, 1 and 2: the stack keeps 3 modes and powers none past a matrix's rank
+        qhs = [random_cov(3, 3, 40), random_cov(3, 1, 41), random_cov(3, 2, 42)]
+        stacked = optimal_sensing_waveform(np.stack(qhs), 4, 1.5, NoiseSpec(0.5))
+        assert stacked.block.shape == (3, 4, 3) and stacked.orthobasis.shape == (4, 3)
+        for i, qh in enumerate(qhs):
+            alone = optimal_sensing_waveform(qh, 4, 1.5, NoiseSpec(0.5))
+            assert np.array_equal(stacked.allocation[i].levels, alone.allocation.levels)
+            np.testing.assert_allclose(stacked.block[i], alone.block, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="zero"):
+            optimal_sensing_waveform(np.stack([qhs[0], np.zeros((3, 3))]), 4, 1.0, NoiseSpec(1.0))
+
 class TestSensingCapacity:
     def test_zero_covariance_gives_zero(self):
         res = sensing_capacity(np.zeros((3, 3)), 2, 4, 1.0, NoiseSpec(1.0))
