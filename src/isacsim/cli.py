@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .capacity import comm_capacity, mutual_information_comm
+from .capacity import _comm_mi_bits, comm_capacity
 from .channel import ArrayGeometry, NoiseSpec, build_dictionary
 from .estimation import GridPath, estimate_paths, random_probes, synthesize_observations, write_observations
 from .precoding import shift_schedule, zf_scanning_precoder
@@ -87,6 +87,8 @@ class ScenarioConfig:
         for rho in self.rho_list:
             if not 0.0 <= rho <= 1.0:
                 raise ValueError("rho values must lie in [0, 1]")
+        if any(power <= 0 for power in self.power_list):
+            raise ValueError("power values must be > 0")
         scenario = _SCENARIO_TABLE[self.scenario]
         for holds, message in scenario.requires:
             if not holds(self):
@@ -104,7 +106,8 @@ class TrialResult:
     A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
     the block's evaluation of that point divided by the trials in the block.  The block's
     instance draw is not timed; it holds the work all points share, such as
-    isac_tradeoff's stacked eigh of Hc^H Hc.
+    isac_tradeoff's stacked eigh of Hc^H Hc, the estimation dictionaries and probes and
+    the beam-scan precoder.
     """
 
     scenario: str
@@ -124,28 +127,30 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**data)
 
 
-def _capacity_trial(cfg: ScenarioConfig, gen):
-    h = complex_normal(gen, (cfg.n_c, cfg.m))
+def _capacity_trial(cfg: ScenarioConfig, gens):
+    hs = complex_normal(gens, (cfg.n_c, cfg.m))
     noise = NoiseSpec(cfg.noise_var)
 
-    def evaluate(power, aux_gen) -> dict:
-        res = comm_capacity(h, power, noise)
-        return {
+    def evaluate(power, aux_gens) -> list:
+        results = [comm_capacity(h, power, noise) for h in hs]
+        # comm_capacity's covariance is its own Hermitian PSD V diag(beta) V^H: no check
+        return [{
             "comm_bits": res.bits_per_symbol,
-            "mi_bits": mutual_information_comm(h, res.covariance, noise),
+            "mi_bits": _comm_mi_bits(h, res.covariance, noise),
             "water_level": res.allocation.water_level,
-        }
+        } for h, res in zip(hs, results)]
 
     return evaluate
 
 
-def _sensing_trial(cfg: ScenarioConfig, gen):
-    a = complex_normal(gen, (cfg.m, max(cfg.m, cfg.n_s)))
-    qh = a @ a.conj().T / a.shape[1]
+def _sensing_trial(cfg: ScenarioConfig, gens):
+    # a 2-D product per lane, as for one trial, so a lane's Q_h has the same bytes
+    qhs = [a @ a.conj().T / a.shape[1] for a in complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s)))]
+    noise = NoiseSpec(cfg.noise_var)
 
-    def evaluate(power, aux_gen) -> dict:
-        res = sensing_capacity(qh, cfg.n_s, cfg.t, power, NoiseSpec(cfg.noise_var))
-        return {"sensing_bits": res.bits_per_transmission}
+    def evaluate(power, aux_gens) -> list:
+        return [{"sensing_bits": sensing_capacity(qh, cfg.n_s, cfg.t, power, noise).bits_per_transmission}
+                for qh in qhs]
 
     return evaluate
 
@@ -167,62 +172,68 @@ def _tradeoff_trial(cfg: ScenarioConfig, gens):
     return evaluate
 
 
-def _estimation_trial(cfg: ScenarioConfig, gen):
+def _estimation_trial(cfg: ScenarioConfig, gens):
     dict_tx = build_dictionary(ArrayGeometry(cfg.m), cfg.d)
     dict_rx = build_dictionary(ArrayGeometry(cfg.n_s), cfg.d)
-    # distinct grid cells on both sides keep the paths resolvable
-    picks_p = gen.choice(cfg.d, size=cfg.l, replace=False)
-    picks_q = gen.choice(cfg.d, size=cfg.l, replace=False)
-    paths = [
-        GridPath(
-            aoa_index=int(p),
-            aod_index=int(q),
-            doppler_bin=int(gen.integers(cfg.t)),
-            delay_bin=int(gen.integers(cfg.n_sc)),
-            magnitude=1.0,
-            phase=float(gen.uniform(-np.pi, np.pi)),
-        )
-        for p, q in zip(picks_p, picks_q)
-    ]
     probes = random_probes(cfg.m, cfg.t, cfg.seed, stream=1)
+    lanes = []
+    for gen in gens:
+        # distinct grid cells on both sides keep the paths resolvable
+        picks_p = gen.choice(cfg.d, size=cfg.l, replace=False)
+        picks_q = gen.choice(cfg.d, size=cfg.l, replace=False)
+        lanes.append([
+            GridPath(
+                aoa_index=int(p),
+                aod_index=int(q),
+                doppler_bin=int(gen.integers(cfg.t)),
+                delay_bin=int(gen.integers(cfg.n_sc)),
+                magnitude=1.0,
+                phase=float(gen.uniform(-np.pi, np.pi)),
+            )
+            for p, q in zip(picks_p, picks_q)
+        ])
 
-    def evaluate(snr_db, aux_gen, obs_path="") -> dict:
+    def evaluate(snr_db, aux_gens, obs_path="") -> list:
         # per-cell mean signal power is L / n_rx for unit-magnitude paths
         noise_var = cfg.l / cfg.n_s / 10 ** (snr_db / 10)
-        obs = synthesize_observations(
-            dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9,
-            noise_variance=noise_var, seed=int(aux_gen().integers(1 << 32)), stream=2,
-        )
-        if obs_path:
-            write_observations(obs, obs_path)
-        report = estimate_paths(obs, dict_tx, dict_rx, cfg.l, probes)
-        matched = {(est.aoa_index, est.aod_index): est for est in report.paths}
-        # a missed (AoA, AoD) pair counts as an error in every bin
-        missed = doppler = delay = 0
-        gain_sq = 0.0
-        for path in paths:
-            est = matched.get((path.aoa_index, path.aod_index))
-            if est is None:
-                missed += 1
-                gain_sq += path.magnitude**2
-                continue
-            doppler += int(est.doppler_bin != path.doppler_bin)
-            delay += int(est.delay_bin != path.delay_bin)
-            truth = path.magnitude * np.exp(1j * path.phase)
-            gain_sq += abs(est.gain - truth) ** 2
-        count = max(1, len(paths))
-        return {
-            "aoa_bin_error": missed / count,
-            "aod_bin_error": missed / count,
-            "doppler_bin_error": (missed + doppler) / count,
-            "delay_bin_error": (missed + delay) / count,
-            "gain_rmse": float(np.sqrt(gain_sq / count)),
-        }
+        metrics = []
+        for paths, aux_gen in zip(lanes, aux_gens):
+            obs = synthesize_observations(
+                dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9,
+                noise_variance=noise_var, seed=int(aux_gen().integers(1 << 32)), stream=2,
+            )
+            if obs_path:  # the dump is of the block's first trial only
+                write_observations(obs, obs_path)
+                obs_path = ""
+            report = estimate_paths(obs, dict_tx, dict_rx, cfg.l, probes)
+            matched = {(est.aoa_index, est.aod_index): est for est in report.paths}
+            # a missed (AoA, AoD) pair counts as an error in every bin
+            missed = doppler = delay = 0
+            gain_sq = 0.0
+            for path in paths:
+                est = matched.get((path.aoa_index, path.aod_index))
+                if est is None:
+                    missed += 1
+                    gain_sq += path.magnitude**2
+                    continue
+                doppler += int(est.doppler_bin != path.doppler_bin)
+                delay += int(est.delay_bin != path.delay_bin)
+                truth = path.magnitude * np.exp(1j * path.phase)
+                gain_sq += abs(est.gain - truth) ** 2
+            count = max(1, len(paths))
+            metrics.append({
+                "aoa_bin_error": missed / count,
+                "aod_bin_error": missed / count,
+                "doppler_bin_error": (missed + doppler) / count,
+                "delay_bin_error": (missed + delay) / count,
+                "gain_rmse": float(np.sqrt(gain_sq / count)),
+            })
+        return metrics
 
     return evaluate
 
 
-def _beam_scan_trial(cfg: ScenarioConfig, gen):
+def _beam_scan_trial(cfg: ScenarioConfig, gens):
     geom = ArrayGeometry(cfg.m)
     dictionary = build_dictionary(geom, cfg.d)
     base_idx = cfg.d // 2  # broadside grid cell
@@ -232,7 +243,7 @@ def _beam_scan_trial(cfg: ScenarioConfig, gen):
     residual = float(np.linalg.norm(dictionary.matrix.T @ base - desired, "fro"))
     step = 1.0 / cfg.d
 
-    def evaluate(interval, aux_gen) -> dict:
+    def evaluate(interval, aux_gens) -> list:
         # wrap the accumulated shift into the arcsin domain before applying it once
         shift = (int(interval) * step + 0.5) % 1.0 - 0.5
         shifted = shift_schedule(base, geom, shift, 1)
@@ -242,52 +253,38 @@ def _beam_scan_trial(cfg: ScenarioConfig, gen):
         wrapped = (dictionary.grid_normalized[base_idx] - shift + 0.5) % 1.0 - 0.5
         expected = int(np.argmin(np.abs(dictionary.grid_normalized - wrapped)))
         norm_dev = float(abs(np.linalg.norm(shifted[:, 0]) - np.linalg.norm(base[:, 0])))
-        return {
+        row = {
             "zf_residual": residual,
             "peak_index": float(peak),
             "peak_match": float(peak == expected),
             "column_norm_drift": norm_dev,
         }
+        return [row] * len(aux_gens)  # no trial draws anything, so all share the row
 
     return evaluate
 
 
-def _one_by_one(trial):
-    """Block form of a one-trial draw trial(cfg, gen) -> evaluate(point, aux_gen): the
-    block's trials drawn and evaluated one by one (a dump goes to its first trial)."""
-
-    def block(cfg: ScenarioConfig, gens):
-        evaluates = [trial(cfg, gen) for gen in gens]
-
-        def evaluate(point, aux_gens, **dump) -> list:
-            return [ev(point, aux_gen, **(dump if i == 0 else {}))
-                    for i, (ev, aux_gen) in enumerate(zip(evaluates, aux_gens))]
-
-        return evaluate
-
-    return block
-
-
 # One record per scenario.  trial(cfg, gens) draws the instances of a block of trials, one
-# generator each, and returns evaluate(point, aux_gens) -> one metrics dict per trial, which
-# draws only from the generators aux_gens[i]() build; requires holds the (condition on cfg,
-# message) pairs that ScenarioConfig checks.
+# generator each, builds once what they share (such as the estimation dictionaries and probes)
+# and returns evaluate(point, aux_gens) -> one metrics dict per trial, which draws only from
+# the generators aux_gens[i]() build; requires holds the (condition on cfg, message) pairs
+# that ScenarioConfig checks.
 Scenario = namedtuple("Scenario", "param_name points trial requires", defaults=((),))
 
 _PROBES_FIT = (lambda cfg: cfg.t >= cfg.m,
                "block length t must be >= m to fit orthogonal probing columns")
 
 _SCENARIO_TABLE = {
-    "capacity_sweep": Scenario("power", lambda cfg: cfg.power_list, _one_by_one(_capacity_trial)),
-    "sensing_sweep": Scenario("power", lambda cfg: cfg.power_list, _one_by_one(_sensing_trial),
-                              (_PROBES_FIT,)),
-    "isac_tradeoff": Scenario("rho", lambda cfg: cfg.rho_list, _tradeoff_trial, (_PROBES_FIT,)),
-    "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _one_by_one(_estimation_trial), (
+    "capacity_sweep": Scenario("power", lambda cfg: cfg.power_list, _capacity_trial),
+    "sensing_sweep": Scenario("power", lambda cfg: cfg.power_list, _sensing_trial, (_PROBES_FIT,)),
+    "isac_tradeoff": Scenario("rho", lambda cfg: cfg.rho_list, _tradeoff_trial, (
+        _PROBES_FIT, (lambda cfg: cfg.k <= cfg.m, "cannot serve more symbol streams than transmit antennas"))),
+    "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _estimation_trial, (
         (lambda cfg: cfg.d >= max(cfg.m, cfg.n_s), "dictionary size d must be >= both array sizes"),
         (lambda cfg: cfg.l <= cfg.d, "cannot draw more resolvable paths than grid cells per side"),
     )),
     "beam_scan": Scenario("interval", lambda cfg: tuple(float(j) for j in range(cfg.d)),
-                          _one_by_one(_beam_scan_trial),
+                          _beam_scan_trial,
                           ((lambda cfg: cfg.d >= cfg.m, "dictionary size d must be >= m"),)),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)

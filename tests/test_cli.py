@@ -91,8 +91,11 @@ class TestScenarioConfig:
         (dict(scenario="beam_scan", m=8, d=4), "dictionary size d must be >= m"),
         (dict(scenario="capacity_sweep", power_list=()), "no parameter points"),
         (dict(scenario="capacity_sweep", obs_path="obs.bin"), "only produced by mmwave_estimation"),
+        (dict(scenario="capacity_sweep", power_list=(1.0, 0.0)), "power values must be > 0"),
+        (dict(scenario="sensing_sweep", power_list=(-1.0,)), "power values must be > 0"),
+        (dict(scenario="isac_tradeoff", k=5, m=4, t=4), "more symbol streams than transmit antennas"),
     ], ids=["sensing_t", "tradeoff_t", "estimation_d", "estimation_l", "beam_d", "no_points",
-            "obs_elsewhere"])
+            "obs_elsewhere", "capacity_power", "sensing_power", "tradeoff_k"])
     def test_preconditions_fail_when_built(self, fields_, message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**fields_)
@@ -122,7 +125,8 @@ class TestRunScenario:
 
     def test_instance_work_runs_once_per_trial(self, monkeypatch):
         # counts matrices, not calls: isac_tradeoff decomposes a block of trials in one stacked call
-        counts = dict.fromkeys(("optimal_sensing_waveform", "build_dictionary", "philox_stream", "eigh"), 0)
+        calls = ("build_dictionary", "random_probes", "philox_stream", "zf_scanning_precoder", "shift_schedule")
+        counts = dict.fromkeys(("optimal_sensing_waveform", "eigh") + calls, 0)
 
         def counting(namespace, name, count=lambda *args: 1):
             original = getattr(namespace, name)
@@ -136,7 +140,7 @@ class TestRunScenario:
         def matrices(q, *rest):
             return int(np.prod(np.shape(q)[:-2]))
 
-        for name in ("build_dictionary", "philox_stream"):
+        for name in calls:
             counting(cli, name)
         counting(cli, "optimal_sensing_waveform", matrices)
         counting(np.linalg, "eigh", matrices)
@@ -145,10 +149,14 @@ class TestRunScenario:
         # per trial: the sensing covariance, and one basis of Hc^H Hc for all 5 rho points
         assert counts["eigh"] == 2 * 3
         run_scenario(cfg(scenario="mmwave_estimation", trials=3, seed=2))
-        assert counts["build_dictionary"] <= 2 * 3  # two dictionaries per trial, not per point
+        # the block's trials share the two dictionaries and the probes
+        assert counts["build_dictionary"] == 2 and counts["random_probes"] == 1
         counts["philox_stream"] = 0
         run_scenario(cfg(scenario="capacity_sweep", trials=3, seed=2))
         assert counts["philox_stream"] == 3  # the instance streams; no point draws an aux stream
+        run_scenario(cfg(scenario="beam_scan", d=4, trials=3, seed=2))
+        # one precoder for the block, and each of the 4 points' rows once for its 3 trials
+        assert counts["zf_scanning_precoder"] == 1 and counts["shift_schedule"] == 4
 
     def test_tradeoff_endpoints(self):
         config = cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=2, seed=5,
@@ -207,28 +215,37 @@ class TestRunScenario:
 
 
 class TestTrialBlocks:
-    """Runs go in blocks of up to cli.BLOCK_TRIALS trials; isac_tradeoff stacks each block."""
+    """Runs go in blocks of up to cli.BLOCK_TRIALS trials; each scenario evaluates a block at once."""
 
-    CONFIG = dict(scenario="isac_tradeoff", m=6, k=2, t=8, rho_list=(0.0, 0.5, 1.0), seed=4)
+    CONFIGS = {
+        "capacity_sweep": dict(m=3, n_c=2, power_list=(0.5, 2.0)),
+        "sensing_sweep": dict(m=3, n_s=4, t=4, power_list=(0.5, 2.0)),
+        "isac_tradeoff": dict(m=6, k=2, t=8, rho_list=(0.0, 0.5, 1.0)),
+        "mmwave_estimation": dict(m=2, n_s=2, d=4, l=2, t=4, n_sc=8, snr_db_list=(0.0, 20.0)),
+        "beam_scan": dict(m=4, d=8),
+    }
 
-    def trial_rows(self, trials, **extra):
-        rows = run_scenario(cfg(**self.CONFIG, trials=trials, **extra))
+    def trial_rows(self, scenario, trials, **extra):
+        rows = run_scenario(cfg(scenario=scenario, **self.CONFIGS[scenario], seed=4, trials=trials, **extra))
         return {(r.param_value, r.trial): r.metrics for r in rows if r.trial.isdigit()}
 
-    def test_trial_rows_do_not_depend_on_the_block_they_fall_in(self):
+    @pytest.mark.parametrize("scenario", list(CONFIGS))
+    def test_trial_rows_do_not_depend_on_the_block_they_fall_in(self, scenario):
         n = cli.BLOCK_TRIALS
-        several = self.trial_rows(2 * n + 5)  # three blocks, the last of 5 trials
-        one = self.trial_rows(n)
+        several = self.trial_rows(scenario, 2 * n + 5)  # three blocks, the last of 5 trials
+        one = self.trial_rows(scenario, n)
+        points = {point for point, _ in several}
         for i in (0, 1, n // 2, n - 1, n, 2 * n + 4):
-            alone = self.trial_rows(i + 1)  # trial i last, in a block of its own size
-            for rho in self.CONFIG["rho_list"]:
-                assert alone[rho, str(i)] == several[rho, str(i)]
+            alone = self.trial_rows(scenario, i + 1)  # trial i last, in a block of its own size
+            for point in points:
+                assert alone[point, str(i)] == several[point, str(i)]
                 if i < n:
-                    assert one[rho, str(i)] == several[rho, str(i)]
+                    assert one[point, str(i)] == several[point, str(i)]
 
-    def test_bytes_do_not_depend_on_the_thread_count(self):
-        texts = {emit_results(run_scenario(cfg(**self.CONFIG, trials=2 * cli.BLOCK_TRIALS + 5,
-                                               threads=threads)), "json")
+    @pytest.mark.parametrize("scenario", list(CONFIGS))
+    def test_bytes_do_not_depend_on_the_thread_count(self, scenario):
+        texts = {emit_results(run_scenario(cfg(scenario=scenario, **self.CONFIGS[scenario], seed=4,
+                                               trials=2 * cli.BLOCK_TRIALS + 5, threads=threads)), "json")
                  for threads in (1, 2, 3)}
         assert len(texts) == 1
 
@@ -456,8 +473,9 @@ class TestMain:
         dumps = []
         for threads in (1, 3):
             obs_path = tmp_path / f"obs{threads}.bin"
-            code = main(["mmwave_estimation", "--trials", "4", "--seed", "7", "--threads",
-                         str(threads), "--obs-out", str(obs_path), "--out", str(tmp_path / "run.csv")])
+            code = main(["mmwave_estimation", "--trials", str(cli.BLOCK_TRIALS + 6), "--seed", "7",
+                         "--threads", str(threads), "--obs-out", str(obs_path),
+                         "--out", str(tmp_path / "run.csv")])
             assert code == 0
             dumps.append(obs_path.read_bytes())
         assert dumps[0] == dumps[1]
