@@ -276,9 +276,12 @@ _PROBES_FIT = (lambda cfg: cfg.t >= cfg.m,
 
 _SCENARIO_TABLE = {
     "capacity_sweep": Scenario("power", lambda cfg: cfg.power_list, _capacity_trial),
-    "sensing_sweep": Scenario("power", lambda cfg: cfg.power_list, _sensing_trial, (_PROBES_FIT,)),
+    "sensing_sweep": Scenario("power", lambda cfg: cfg.power_list, _sensing_trial, (
+        _PROBES_FIT, (lambda cfg: all(math.isfinite(cfg.t * power) for power in cfg.power_list),
+                      "block energy t * power overflows"))),
     "isac_tradeoff": Scenario("rho", lambda cfg: cfg.rho_list, _tradeoff_trial, (
-        _PROBES_FIT, (lambda cfg: cfg.k <= cfg.m, "cannot serve more symbol streams than transmit antennas"))),
+        _PROBES_FIT, (lambda cfg: cfg.k <= cfg.m, "cannot serve more symbol streams than transmit antennas"),
+        (lambda cfg: math.isfinite(cfg.t * cfg.p_t), "block energy t * p_t overflows"))),
     "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _estimation_trial, (
         (lambda cfg: cfg.d >= max(cfg.m, cfg.n_s), "dictionary size d must be >= both array sizes"),
         (lambda cfg: cfg.l <= cfg.d, "cannot draw more resolvable paths than grid cells per side"),

@@ -108,7 +108,8 @@ def optimize_weighted_mi(
     Projected gradient ascent on the PSD trace-ball with backtracking line
     search.  Terminates when the projected-gradient mapping (unit probe step)
     has Frobenius norm below `grad_tol`; hitting the iteration cap first
-    raises ConvergenceError with the last iterate attached.
+    raises ConvergenceError with the last iterate attached.  A line-search try
+    at step 1 takes the mapping's projection, which is the same point.
 
     Returns (covariance, objective_value, normalizers) where normalizers is
     the (comm, sensing) capacity pair used for scaling.
@@ -128,14 +129,17 @@ def optimize_weighted_mi(
     def objective(q):
         return _weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm)
 
+    hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
+    eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)
+    comm_w = rho / (comm_norm * _LN2 * noise.variance)
+    sens_w = (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance)
+
     def gradient(q):
         g = np.zeros((m, m), dtype=complex)
         if rho > 0:
-            mid = np.linalg.inv(np.eye(hc.shape[0]) + hc @ q @ hc.conj().T / noise.variance)
-            g += rho / (comm_norm * _LN2 * noise.variance) * (hc.conj().T @ mid @ hc)
+            g += comm_w * (hh @ np.linalg.inv(eye_c + hc @ q @ hh / noise.variance) @ hc)
         if rho < 1:
-            mid = np.linalg.inv(np.eye(f.shape[1]) + t * (f.conj().T @ q @ f) / noise.variance)
-            g += (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance) * (f @ mid @ f.conj().T)
+            g += sens_w * (f @ np.linalg.inv(eye_s + t * (fh @ q @ f) / noise.variance) @ fh)
         return (g + g.conj().T) / 2
 
     q = budget / m * np.eye(m, dtype=complex)
@@ -144,12 +148,13 @@ def optimize_weighted_mi(
     gap = np.inf
     for _ in range(max_iter):
         g = gradient(q)
-        gap = float(np.linalg.norm(_project_psd_trace(q + g, budget) - q, "fro"))
+        unit = _project_psd_trace(q + g, budget)
+        gap = float(np.linalg.norm(unit - q, "fro"))
         if gap < grad_tol:
             return q, obj, (comm_norm, sens_norm)
         s = step
         while True:
-            cand = _project_psd_trace(q + s * g, budget)
+            cand = unit if s == 1.0 else _project_psd_trace(q + s * g, budget)  # 1.0 * g == g
             advance = float(np.real(np.vdot(g, cand - q)))
             cand_obj = objective(cand)
             if cand_obj >= obj + 1e-4 * advance and cand_obj > obj:
@@ -316,31 +321,42 @@ def _pareto_objective(hc, c, xs, rho, x):
 
 
 def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):
-    """Cyclic closed-form row updates of the trade-off objective from x.
+    """Cyclic closed-form row updates of the trade-off objective from every start of a
+    stack x (L x m x t) at once.
 
-    With the other rows fixed and the row energy held by the constraint, the
-    objective is linear in row i; `project(direction, row)` maps its descent
-    direction onto the row's feasible set, keeping `row` where it is zero.
-    Sweeps never increase the objective and stop once `settled(previous,
-    objective)` holds.  Returns (x, objective, converged, last improvement).
+    With the other rows fixed and the row energy held by the constraint, the objective
+    is linear in row i; `project(direction, row)` maps the lanes' descent directions
+    (L x t) onto the row's feasible set, keeping `row` where it is zero.  Sweeps never
+    increase the objective.  A lane stops once `settled(previous, objective)` holds for
+    it, with that sweep's iterate; each step is lane by lane, so a lane ends as it would
+    alone, to the bit.  Returns (x, objective, converged, last improvement), per lane.
     """
-    x = x.copy()
-    resid = c - hc @ x
-    obj = _pareto_objective(hc, c, xs, rho, x)
-    change = np.inf
+    # row i's column as 1 x k x 1, the lanes' ndim: NumPy rounds a one-entry product of
+    # operands of unequal ndim in another loop than np.outer's, which breaks the bits
+    cols = np.ascontiguousarray(hc.T)[:, None, :, None]
+    rows_h, pull = np.ascontiguousarray(hc.conj().T), (1.0 - rho) * xs
+    lanes, cur = np.empty_like(x), x.copy()
+    obj = _pareto_objective(hc, c, xs, rho, cur)
+    change, converged = np.full(obj.shape, np.inf), np.zeros(obj.shape, dtype=bool)
+    live, resid = np.arange(len(x)), c - hc @ cur
     for _ in range(max_sweeps):
-        previous = obj
-        for i in range(x.shape[0]):
-            col = hc[:, i]
-            partial = resid + np.outer(col, x[i])
-            new_row = project(rho * (col.conj() @ partial) + (1.0 - rho) * xs[i], x[i])
-            resid -= np.outer(col, new_row - x[i])
-            x[i] = new_row
-        obj = _pareto_objective(hc, c, xs, rho, x)
-        change = previous - obj
-        if settled(previous, obj):
-            return x, obj, True, change
-    return x, obj, False, change
+        previous = obj[live]
+        for i in range(cur.shape[1]):
+            row = cur[:, i]
+            partial = resid + cols[i] * row[:, None]
+            new_row = project(rho * (rows_h[i] @ partial) + pull[i], row)
+            resid -= cols[i] * (new_row - row)[:, None]
+            cur[:, i] = new_row
+        now = _pareto_objective(hc, c, xs, rho, cur)
+        obj[live], change[live] = now, previous - now
+        done = settled(previous, now)
+        if done.any():
+            lanes[live], converged[live] = cur, done
+            live, cur, resid = live[~done], cur[~done], resid[~done]
+            if not live.size:
+                break
+    lanes[live] = cur
+    return lanes, obj, converged, change
 
 
 def solve_per_antenna(
@@ -376,18 +392,18 @@ def solve_per_antenna(
         else:
             x[i] = np.full(t, root / np.sqrt(t), dtype=complex)
 
-    def row_sphere(direction, row):
+    def row_sphere(direction, row):  # one lane, so the 1 x t direction's norm is the row's
         norm = np.linalg.norm(direction)
         return root * direction / norm if norm > 1e-300 else row
 
     x, _, converged, change = _cyclic_rows(
-        hc, c, xs, rho, x, row_sphere, max_sweeps,
-        lambda previous, obj: previous - obj < tol * max(1.0, abs(previous)),
+        hc, c, xs, rho, x[None], row_sphere, max_sweeps,
+        lambda previous, obj: previous - obj < tol * np.maximum(1.0, np.abs(previous)),
     )
-    if not converged:
+    if not converged[0]:
         raise ConvergenceError(f"per-antenna row sweeps did not settle within {max_sweeps} sweeps",
-                               best=x, iterations=max_sweeps, last_change=change)
-    return x
+                               best=x[0], iterations=max_sweeps, last_change=change[0])
+    return x[0]
 
 
 def solve_constant_modulus(
@@ -405,9 +421,10 @@ def solve_constant_modulus(
     elementwise-modulus projection): with all other entries fixed, the
     objective is linear in each unit phasor and minimized by the phase of a
     closed-form inner product, so sweeps never increase the objective.  The
-    problem is non-convex, so the descent runs from a few deterministic starts (the reference phases, the relaxed total-energy
-    solution, and the regularized normal-equations target) and keeps the
-    best.  Converged when a full sweep improves by less than `tol`.
+    problem is non-convex, so the descent runs from a few deterministic starts
+    (the reference phases, the relaxed total-energy solution, and the
+    regularized normal-equations target), swept as lanes of one _cyclic_rows call,
+    and keeps the first lowest.  Converged when a full sweep improves by less than `tol`.
     """
     rho = _check_rho(rho)
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
@@ -420,19 +437,14 @@ def solve_constant_modulus(
 
     def unit_modulus(direction, row):
         mag = np.abs(direction)
-        live = mag > 1e-300
-        return np.where(live, modulus * direction / np.where(live, mag, 1.0), row)
+        return np.divide(modulus * direction, mag, out=row.copy(), where=mag > 1e-300)
 
-    best = None
-    for start in starts:
-        outcome = _cyclic_rows(
-            hc, c, xs, rho, modulus * np.exp(1j * np.angle(start)), unit_modulus, max_sweeps,
-            lambda previous, obj: previous - obj < tol,
-        )
-        if best is None or outcome[1] < best[1]:
-            best = outcome
-    x, obj, converged, change = best
-    if not converged:
+    x, obj, converged, change = _cyclic_rows(
+        hc, c, xs, rho, modulus * np.exp(1j * np.angle(np.stack(starts))), unit_modulus, max_sweeps,
+        lambda previous, obj: previous - obj < tol,
+    )
+    best = min(range(len(starts)), key=obj.__getitem__)  # the first lowest, as a loop over starts
+    if not converged[best]:
         raise ConvergenceError(f"constant-modulus phase sweeps did not settle within {max_sweeps} sweeps",
-                               best=x, iterations=max_sweeps, last_change=change)
-    return x
+                               best=x[best], iterations=max_sweeps, last_change=change[best])
+    return x[best]

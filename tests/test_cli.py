@@ -94,8 +94,11 @@ class TestScenarioConfig:
         (dict(scenario="capacity_sweep", power_list=(1.0, 0.0)), "power values must be > 0"),
         (dict(scenario="sensing_sweep", power_list=(-1.0,)), "power values must be > 0"),
         (dict(scenario="isac_tradeoff", k=5, m=4, t=4), "more symbol streams than transmit antennas"),
+        (dict(scenario="isac_tradeoff", p_t=1e308), "block energy t \\* p_t overflows"),
+        (dict(scenario="sensing_sweep", power_list=(1.0, 1e308)), "block energy t \\* power overflows"),
     ], ids=["sensing_t", "tradeoff_t", "estimation_d", "estimation_l", "beam_d", "no_points",
-            "obs_elsewhere", "capacity_power", "sensing_power", "tradeoff_k"])
+            "obs_elsewhere", "capacity_power", "sensing_power", "tradeoff_k", "tradeoff_energy",
+            "sensing_energy"])
     def test_preconditions_fail_when_built(self, fields_, message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**fields_)
@@ -389,6 +392,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: config field") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["isac_tradeoff", "--p-t", "1e308"],
+                                      ["sensing_sweep", "--power-list", "1,1e308"]],
+                             ids=["tradeoff", "sensing"])
+    def test_overflowing_block_energy_exits_one_with_message(self, capsys, argv):
+        # a run at t * p_t = inf would print nan (trade-off) or inf (sensing) for every metric
+        assert main([*argv, "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: block energy t * p") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("p_t", [
+        1e250,
+        pytest.param(1e300, marks=pytest.mark.xfail(strict=True, reason=(
+            "the sphere solve's secular sums overflow, so every rho < 1 design collapses to zero"))),
+    ])
+    def test_tradeoff_metrics_scale_with_a_huge_block_energy(self, tmp_path, p_t):
+        # C is negligible beside a block energy this large, so every metric is E times a
+        # limit that does not depend on E: the runs agree once divided by p_t
+        scaled = []
+        for power in (1e200, p_t):
+            out = tmp_path / f"run{len(scaled)}.json"
+            assert main(["isac_tradeoff", "--p-t", repr(power), "--trials", "1", "--format", "json",
+                         "--out", str(out)]) == 0
+            scaled.append([row["value"] / power for row in json.loads(out.read_text())])
+        np.testing.assert_allclose(scaled[1], scaled[0], rtol=1e-9, atol=1e-12)
 
     def test_solver_convergence_error_exits_one_with_message(self, monkeypatch, capsys):
         def stalled_trial(config, gen):

@@ -35,7 +35,7 @@ from isacsim import (
 )
 from isacsim.estimation import _PRUNE_RTOL, _pair_scores
 from isacsim.rng import complex_normal, philox_stream
-from isacsim.waveform import _min_in_basis, _min_on_sphere, _pareto_solver, _project_psd_trace
+from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _pareto_solver, _project_psd_trace
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -413,6 +413,39 @@ def test_constant_modulus_is_exact_and_no_worse_than_its_starts(instance, rho, m
     for start in starts:
         initial = objective(hc, c, xs, rho, modulus * np.exp(1j * np.angle(start)))
         assert best <= initial + 1e-12 * max(1.0, initial)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tradeoffs(), rhos, st.floats(0.1, 2.0), st.integers(0, 60), st.sampled_from([1e-10, 1e-6, 0.0]))
+def test_constant_modulus_starts_as_lanes_equal_a_loop_over_starts(instance, rho, modulus, cap, tol):
+    # the reference sweeps one start at a time with a two-np.where projection and keeps the
+    # first lowest objective; small caps and tol = 0 leave some lanes at their cap
+    hc, c, xs, _ = instance
+
+    def unit_modulus(direction, row):
+        mag = np.abs(direction)
+        live = mag > 1e-300
+        return np.where(live, modulus * direction / np.where(live, mag, 1.0), row)
+
+    starts = [xs]
+    if rho > 0:
+        starts.append(solve_pareto_tradeoff(hc, c, xs, rho, modulus**2 * xs.size))
+        starts.append(rho * (hc.conj().T @ c) + (1.0 - rho) * xs)
+    best = None
+    for start in starts:  # one lane per call
+        outcome = [v[0] for v in _cyclic_rows(hc, c, xs, rho, modulus * np.exp(1j * np.angle(start))[None],
+                                              unit_modulus, cap, lambda previous, obj: previous - obj < tol)]
+        if best is None or outcome[1] < best[1]:
+            best = outcome
+    x, _, converged, change = best
+    if converged:
+        assert solve_constant_modulus(hc, c, xs, rho, modulus, cap, tol).tobytes() == x.tobytes()
+        return
+    with pytest.raises(ConvergenceError) as info:
+        solve_constant_modulus(hc, c, xs, rho, modulus, cap, tol)
+    assert info.value.best.tobytes() == x.tobytes()
+    assert info.value.iterations == cap
+    assert struct.pack("<d", info.value.last_change) == struct.pack("<d", change)
 
 
 # ---------------------------------------------------------------------------
