@@ -460,6 +460,17 @@ class TestMain:
         assert code == 0
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_many_mode_sensing_matches_golden_bytes(self, tmp_path):
+        # one to eight eigenmodes of each Q_h share the water level (seven or eight at
+        # power 100), so this pins the level's summation order for sensing as the file
+        # above does for capacity
+        golden = Path(__file__).parent / "data" / "sensing_sweep_m8_seed2.csv"
+        out = tmp_path / "run.csv"
+        code = main(["sensing_sweep", "--m", "8", "--n-s", "3", "--t", "12", "--power-list",
+                     "0.01,1,100", "--trials", "10", "--seed", "2", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_tradeoff_matches_stored_records(self, tmp_path):
         # written by the bisection sphere solve; the Newton solve reaches the same
         # multiplier by another path, so the values agree to rounding, not to the byte
