@@ -13,12 +13,12 @@ _RANK_RTOL = 1e-12  # eigenvalues below this fraction of the largest count as ze
 class PowerAllocation:
     """Water-filling result: per-mode powers, the common water level and the budget.
 
-    `levels[g]` is the power on the g-th mode of `eigenvalues`, which are
-    stored sorted in descending order; active modes share the absolute water
-    level `water_level`.  A level is formed as water_level - floor, so the n
-    levels sum to `budget` only to within (n + 2) n eps water_level (eps the
-    float64 machine epsilon): a budget far below the lowest floor sigma^2/lam
-    is spent in part, or not at all.
+    `levels[g]` is the power on the g-th mode of `eigenvalues`, which are stored in descending
+    order; active modes share the absolute `water_level`.  A stack's allocation carries the lane
+    axis first in levels, water_level and eigenvalues, with zero gains and levels past a lane's rank.
+    A level is formed as water_level - floor, so the n levels sum to `budget` only to within
+    (n + 2) n eps water_level (eps the float64 machine epsilon): a budget far below the lowest
+    floor sigma^2/lam is spent in part, or not at all.
     """
 
     levels: np.ndarray
@@ -54,17 +54,23 @@ def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10):
     return vals, vecs
 
 
-def _psd_eigs(q: np.ndarray, name: str):
-    """Descending nonzero eigenpairs of a matrix, or of each matrix of a stack, that require_psd accepts.
-
-    A stack keeps as many pairs as its highest-rank matrix has nonzero eigenvalues;
-    a lower-rank matrix's extra eigenvalues read 0.
-    """
-    vals, vecs = require_psd(np.asarray(q, dtype=complex), name)
-    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+def _rank_cut(vals: np.ndarray, vecs: np.ndarray):
+    """Descending eigenpairs cut to the nonzero ones, as many as a stack's top rank; lower ranks read 0."""
     keep = vals > vals[..., :1] * _RANK_RTOL  # a prefix; empty when the largest is <= 0
     g = int(np.max(np.sum(keep, axis=-1), initial=0))
     return np.where(keep, vals, 0.0)[..., :g], vecs[..., :g]
+
+
+def _psd_eigs(q: np.ndarray, name: str):
+    """_rank_cut of the descending eigenpairs of a matrix, or a stack, that require_psd accepts."""
+    vals, vecs = require_psd(np.asarray(q, dtype=complex), name)
+    return _rank_cut(vals[..., ::-1], vecs[..., ::-1])
+
+
+def _from_eigs(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The Hermitian V diag(vals) V^H, for one matrix or a stack."""
+    out = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
+    return (out + out.conj().swapaxes(-2, -1)) / 2
 
 
 def _psd_factor(q: np.ndarray, name: str) -> np.ndarray:
@@ -73,76 +79,78 @@ def _psd_factor(q: np.ndarray, name: str) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
-def _logdet_bits(m: np.ndarray) -> float:
-    """log2 det of the Hermitian part of m."""
-    _, logdet = np.linalg.slogdet((m + m.conj().T) / 2)
-    return float(logdet / np.log(2.0))
+def _logdet_bits(m: np.ndarray):
+    """log2 det of the Hermitian part of m, or of each matrix of a stack, as NumPy values."""
+    _, logdet = np.linalg.slogdet((m + m.conj().swapaxes(-2, -1)) / 2)
+    return logdet / np.log(2.0)
 
 
-def _comm_mi_bits(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> float:
-    """Unchecked log2 det(I + H Q H^H / sigma^2)."""
-    return _logdet_bits(np.eye(h.shape[0]) + (h @ q @ h.conj().T) / noise.variance)
+def _comm_mi_bits(h: np.ndarray, q: np.ndarray, noise: NoiseSpec):
+    """Unchecked log2 det(I + H Q H^H / sigma^2), for one pair or each pair of two stacks."""
+    return _logdet_bits(np.eye(h.shape[-2]) + (h @ q @ h.conj().swapaxes(-2, -1)) / noise.variance)
 
 
 def mutual_information_comm(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> float:
     """Per-symbol mutual information log2 det(I + H Q H^H / sigma^2) in bits."""
-    h = np.asarray(h, dtype=complex)
-    q = np.asarray(q, dtype=complex)
+    h, q = np.asarray(h, dtype=complex), np.asarray(q, dtype=complex)
     if h.shape[1] != q.shape[0]:
         raise ValueError("channel and covariance dimensions do not conform")
     require_psd(q, "transmit covariance")
-    return _comm_mi_bits(h, q, noise)
+    return float(_comm_mi_bits(h, q, noise))
 
 
-def _water_level(floors: np.ndarray, budget: float):
-    """Water level w with sum_g (w - floors_g)^+ = budget, for nonempty ascending floors.
-
-    w = (budget + sum of the k lowest floors) / k at the largest k for which it lies
-    above the k-th floor (Palomar & Fonollosa, IEEE TSP 2005); those k modes are active.
-    """
-    for k in range(floors.size, 0, -1):
-        w = (budget + floors[:k].sum()) / k
-        if w - floors[k - 1] > 0:
+def _water_level(floors: np.ndarray, budget: float) -> np.ndarray:
+    """Water level w with sum_g (w - floors_g)^+ = budget for each lane of a (..., n) stack of
+    ascending floors, +inf padding a lane past its modes: w = (budget + sum of the k lowest floors)
+    / k at the largest k for which it lies above the k-th floor (Palomar & Fonollosa, IEEE TSP 2005).
+    A lane sums along the last axis alone, so it gets its 1-D level to the bit (inf if all pads)."""
+    level = np.full(floors.shape[:-1], np.inf)
+    todo = True  # every lane pending: a scalar until the first comparison makes it a mask
+    for k in range(floors.shape[-1], 0, -1):
+        w = (budget + floors[..., :k].sum(axis=-1)) / k
+        np.copyto(level, w, where=todo)  # a lane found at a larger k keeps its level
+        todo &= w <= floors[..., k - 1]  # i.e. not w - floor > 0, and never past a +inf pad
+        if not np.count_nonzero(todo):
             break
-    return w
+    return level
+
+
+def _fill(lam: np.ndarray, budget: float, noise: NoiseSpec):
+    """Water-fill `budget` over each lane of a (..., n) stack of descending gains lam, 0 past a lane's
+    rank: beta_g = (w - sigma^2/lam_g)^+ at w = _water_level(sigma^2/lam).  Returns the
+    PowerAllocation and each lane's rate sum_g log2(1 + lam_g beta_g / sigma^2)."""
+    if budget <= 0:
+        raise ValueError("power budget must be > 0")
+    floors = np.divide(noise.variance, lam, out=np.full(lam.shape, np.inf), where=lam > 0)
+    w = _water_level(floors, budget)
+    levels = np.maximum(np.subtract(w[..., None], floors, out=np.zeros(lam.shape), where=lam > 0), 0.0)
+    with np.errstate(over="ignore"):  # an infinite rate is refused below
+        rate = np.sum(np.log2(1.0 + lam * levels / noise.variance), axis=-1)
+    if not np.all(np.isfinite(rate)):
+        raise ValueError(f"power budget {budget!r} gives an infinite water-filled rate")
+    w, rate = (w, rate) if lam.ndim > 1 else (float(w), float(rate))  # one lane's are Python floats
+    return PowerAllocation(levels, w, float(budget), lam), rate
 
 
 def waterfill(eigenvalues, budget: float, noise: NoiseSpec) -> PowerAllocation:
-    """Allocate `budget` over channel modes by water-filling.
-
-    Solves max sum log2(1 + lam_g beta_g / sigma^2) subject to sum beta_g = budget,
-    beta_g >= 0: beta_g = (w - sigma^2/lam_g)^+ at the water level _water_level(sigma^2/lam).
-    """
+    """Water-fill `budget` over modes `eigenvalues` (_fill): max sum_g log2(1 + lam_g beta_g / sigma^2)."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    if lam.size == 0:
-        raise ValueError("eigenvalue list is empty")
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be strictly positive")
-    if budget <= 0:
-        raise ValueError("power budget must be > 0")
-    floor = noise.variance / lam  # ascending since lam is descending
-    w = _water_level(floor, budget)
-    levels = np.maximum(w - floor, 0.0)
-    return PowerAllocation(levels=levels, water_level=float(w), budget=float(budget), eigenvalues=lam)
+    if lam.size == 0 or np.any(lam <= 0):
+        raise ValueError("eigenvalues must be a nonempty list of strictly positive numbers")
+    return _fill(lam, budget, noise)[0]
 
 
 def comm_capacity(h: np.ndarray, budget: float, noise: NoiseSpec) -> CapacityResult:
-    """Channel capacity in bits/symbol with the covariance that attains it.
+    """Channel capacity in bits/symbol with the covariance that attains it, for one channel or a stack.
 
     Decomposes the channel by SVD, water-fills the transmit power over the
     nonzero eigen-modes of H^H H and returns Q = V diag(beta) V^H together
     with the allocation.
     """
     h = np.asarray(h, dtype=complex)
-    if not np.any(h):
+    if not np.all(np.any(h, axis=(-2, -1))):
         raise ValueError("channel matrix is zero")
     _, s, vh = np.linalg.svd(h, full_matrices=False)
-    lam = s**2
-    keep = lam > lam[0] * _RANK_RTOL
-    lam = lam[keep]
-    v = vh.conj().T[:, keep]
-    alloc = waterfill(lam, budget, noise)
-    cov = (v * alloc.levels) @ v.conj().T
-    cov = (cov + cov.conj().T) / 2
-    bits = float(np.sum(np.log2(1.0 + lam * alloc.levels / noise.variance)))
-    return CapacityResult(bits_per_symbol=bits, covariance=cov, allocation=alloc)
+    lam, v = _rank_cut(s**2, vh.conj().swapaxes(-2, -1))
+    alloc, bits = _fill(lam, budget, noise)
+    return CapacityResult(bits_per_symbol=bits, covariance=_from_eigs(v, alloc.levels), allocation=alloc)

@@ -132,25 +132,23 @@ def _capacity_trial(cfg: ScenarioConfig, gens):
     noise = NoiseSpec(cfg.noise_var)
 
     def evaluate(power, aux_gens) -> list:
-        results = [comm_capacity(h, power, noise) for h in hs]
+        res = comm_capacity(hs, power, noise)
         # comm_capacity's covariance is its own Hermitian PSD V diag(beta) V^H: no check
-        return [{
-            "comm_bits": res.bits_per_symbol,
-            "mi_bits": _comm_mi_bits(h, res.covariance, noise),
-            "water_level": res.allocation.water_level,
-        } for h, res in zip(hs, results)]
+        mi = _comm_mi_bits(hs, res.covariance, noise)
+        return [{"comm_bits": c, "mi_bits": i, "water_level": w} for c, i, w in
+                zip(res.bits_per_symbol.tolist(), mi.tolist(), res.allocation.water_level.tolist())]
 
     return evaluate
 
 
 def _sensing_trial(cfg: ScenarioConfig, gens):
-    # a 2-D product per lane, as for one trial, so a lane's Q_h has the same bytes
-    qhs = [a @ a.conj().T / a.shape[1] for a in complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s)))]
+    a = complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s)))
+    qh = a @ a.conj().swapaxes(-2, -1) / a.shape[-1]
     noise = NoiseSpec(cfg.noise_var)
 
     def evaluate(power, aux_gens) -> list:
-        return [{"sensing_bits": sensing_capacity(qh, cfg.n_s, cfg.t, power, noise).bits_per_transmission}
-                for qh in qhs]
+        bits = sensing_capacity(qh, cfg.n_s, cfg.t, power, noise).bits_per_transmission
+        return [{"sensing_bits": b} for b in bits.tolist()]
 
     return evaluate
 

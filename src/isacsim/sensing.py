@@ -11,14 +11,14 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PowerAllocation, _logdet_bits, _psd_eigs, _psd_factor, waterfill
+from .capacity import PowerAllocation, _fill, _logdet_bits, _psd_eigs, _psd_factor
 from .channel import NoiseSpec
 
 
 @dataclass(frozen=True)
 class SensingWaveform:
-    """Probing block X = U_x diag(sqrt(beta)) V_h^H plus its factors (stacked, with a
-    list of allocations, for a stack of covariances)."""
+    """Probing block X = U_x diag(sqrt(beta)) V_h^H plus its factors; for a stack of covariances,
+    block, eigvecs and the allocation's fields carry the lane axis first."""
 
     block: np.ndarray
     orthobasis: np.ndarray
@@ -44,17 +44,15 @@ def estimation_rate(x: np.ndarray, qh: np.ndarray, noise: NoiseSpec, rx_count: i
         raise ValueError("waveform must be T x M")
     if x.shape[1] != qh.shape[0]:
         raise ValueError("waveform and covariance dimensions do not conform")
-    return _sensing_mi_bits(_psd_factor(qh, "channel covariance"), x.conj().T @ x, noise, rx_count, t)
+    return float(_sensing_mi_bits(_psd_factor(qh, "channel covariance"), x.conj().T @ x, noise, rx_count, t))
 
 
-def _probing_allocation(qh: np.ndarray, t: int, power_per_transmission: float, noise: NoiseSpec):
-    """Q_h's nonzero eigenvectors (_psd_eigs) and T*P_t water-filled over them: a list with
-    one allocation per matrix of an M x M Q_h or an L x M x M stack, None for a zero one."""
+def _probing_modes(qh: np.ndarray, t: int):
+    """Q_h's nonzero eigenpairs (_psd_eigs), for an M x M Q_h or an L x M x M stack, checked to fit T."""
     vals, vecs = _psd_eigs(qh, "channel covariance")
     if t < vals.shape[-1]:
         raise ValueError(f"block length T={t} cannot fit {vals.shape[-1]} orthogonal probing columns")
-    return vecs, [waterfill(lane[lane > 0], t * power_per_transmission, noise) if lane.any() else None
-                  for lane in np.atleast_2d(vals)]
+    return vals, vecs
 
 
 def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: float, noise: NoiseSpec) -> SensingWaveform:
@@ -63,28 +61,25 @@ def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: flo
     Eigendecomposes Q_h, water-fills T*P_t over the nonzero eigenvalues and
     places the powered eigen-directions on G orthonormal columns drawn from
     the T-point unitary DFT basis, making the output deterministic.  An L x M x M
-    stack of Q_h takes one stacked eigh and gives the L blocks (L x T x M) and the
-    list of their allocations, over G columns for the stack's highest rank G.
+    stack of Q_h takes one stacked eigh and gives the L blocks (L x T x M) and their
+    stacked allocation, over G columns for the stack's highest rank G.
     """
-    vecs, allocs = _probing_allocation(qh, t, power_per_transmission, noise)
-    if None in allocs:
+    vals, vecs = _probing_modes(qh, t)
+    if not np.all(np.any(vals, axis=-1)):
         raise ValueError("channel covariance is zero; nothing to probe")
-    levels = np.zeros((len(allocs), vecs.shape[-1]))  # zero past a lower-rank matrix's own modes
-    for row, alloc in zip(levels, allocs):
-        row[:alloc.levels.size] = alloc.levels
+    alloc, _ = _fill(vals, t * power_per_transmission, noise)
     # first G columns of the unitary T-point DFT matrix
     grid = np.arange(t)
     u_x = np.exp(-2j * np.pi * np.outer(grid, grid[:vecs.shape[-1]]) / t) / np.sqrt(t)
-    levels = levels.reshape(vecs.shape[:-2] + (-1,))
-    block = (u_x * np.sqrt(levels)[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
-    return SensingWaveform(block=block, orthobasis=u_x, eigvecs=vecs,
-                           allocation=allocs if vecs.ndim > 2 else allocs[0])
+    block = (u_x * np.sqrt(alloc.levels)[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
+    return SensingWaveform(block=block, orthobasis=u_x, eigvecs=vecs, allocation=alloc)
 
 
 def sensing_capacity(qh: np.ndarray, rx_count: int, t: int, power_per_transmission: float, noise: NoiseSpec) -> EstimationRateResult:
-    """Maximum estimation rate (N/T) sum log2(1 + lam_g beta_g / sigma^2)."""
-    _, (alloc,) = _probing_allocation(qh, t, power_per_transmission, noise)
-    if alloc is None:
+    """Maximum estimation rate (N/T) sum log2(1 + lam_g beta_g / sigma^2), for one Q_h or each
+    of an L x M x M stack: 0 for a zero Q_h, which alone has no allocation."""
+    vals, _ = _probing_modes(qh, t)
+    if vals.shape == (0,):
         return EstimationRateResult(bits_per_transmission=0.0, allocation=None)
-    bits = float(rx_count / t * np.sum(np.log2(1.0 + alloc.eigenvalues * alloc.levels / noise.variance)))
-    return EstimationRateResult(bits_per_transmission=bits, allocation=alloc)
+    alloc, rate = _fill(vals, t * power_per_transmission, noise)
+    return EstimationRateResult(bits_per_transmission=rx_count / t * rate, allocation=alloc)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _comm_mi_bits, _psd_factor, _water_level, comm_capacity, require_psd
+from .capacity import _comm_mi_bits, _from_eigs, _psd_factor, _water_level, comm_capacity, require_psd
 from .channel import NoiseSpec
 from .sensing import _sensing_mi_bits, sensing_capacity
 
@@ -88,8 +88,7 @@ def _project_psd_trace(q: np.ndarray, budget: float) -> np.ndarray:
     clipped = np.maximum(vals, 0.0)
     if clipped.sum() > budget:  # water-fill the budget over the floors -vals
         clipped = np.maximum(vals + _water_level(-vals[::-1], budget), 0.0)
-    out = (vecs * clipped) @ vecs.conj().T
-    return (out + out.conj().T) / 2
+    return _from_eigs(vecs, clipped)
 
 
 def optimize_weighted_mi(
@@ -127,7 +126,7 @@ def optimize_weighted_mi(
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
 
     def objective(q):
-        return _weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm)
+        return float(_weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm))
 
     hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
     eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -402,6 +403,17 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: block energy t * p") and captured.err.count("\n") == 1
+
+    def test_overflowing_water_filled_rate_exits_one_with_message(self, capsys):
+        # power 1e308 is finite, but trial 1's rate sum log2(1 + lam beta / sigma^2) overflows:
+        # the run used to print comm_bits inf and mi_bits nan for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["capacity_sweep", "--power-list", "1e308", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: power budget 1e+308") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("p_t", [
         1e250,

@@ -22,10 +22,13 @@ from isacsim import (
     ObservationTensor,
     beam_search_angles,
     build_dictionary,
+    comm_capacity,
     estimate_paths,
+    optimal_sensing_waveform,
     optimize_beta_sinr,
     random_probes,
     read_observations,
+    sensing_capacity,
     solve_constant_modulus,
     solve_pareto_tradeoff,
     solve_per_antenna,
@@ -33,6 +36,7 @@ from isacsim import (
     waterfill,
     write_observations,
 )
+from isacsim.capacity import _water_level
 from isacsim.estimation import _PRUNE_RTOL, _pair_scores
 from isacsim.rng import complex_normal, philox_stream
 from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _pareto_solver, _project_psd_trace
@@ -312,6 +316,89 @@ def test_waterfill_spends_the_budget_to_within_rounding_at_the_water_level(eigen
     n = len(eigenvalues)
     assert np.all(alloc.levels >= 0.0)
     assert abs(math.fsum(alloc.levels) - budget) <= (n + 2) * n * np.finfo(float).eps * alloc.water_level
+
+
+def one_lane_level(floors, budget):
+    """The water level by the loop over one 1-D array of floors that the lane-wise kernel replaced."""
+    for k in range(floors.size, 0, -1):
+        w = (budget + floors[:k].sum()) / k
+        if w - floors[k - 1] > 0:
+            break
+    return w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 64]), st.integers(1, 40), seeds, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.booleans())
+def test_water_level_of_a_stack_gives_each_lane_its_one_lane_level(lanes, n, seed, budget_exp, scale_exp,
+                                                                    ties):
+    # each lane keeps its own count of ascending floors and pads the rest with +inf; ties
+    # repeat floors, so several k sit right at the boundary between active and closed
+    gen = np.random.default_rng(seed)
+    floors = 10.0**scale_exp * gen.uniform(0.0, 1.0, size=(lanes, n))
+    if ties:
+        floors = np.round(floors * 4.0 / 10.0**scale_exp) * 10.0**scale_exp / 4.0
+    floors = np.sort(floors, axis=-1)
+    ranks = gen.integers(1, n + 1, size=lanes)
+    floors[np.arange(n) >= ranks[:, None]] = np.inf
+    budget = 10.0**budget_exp
+    with np.errstate(all="raise"):
+        levels = _water_level(floors, budget)
+        for row, rank, level in zip(floors, ranks, levels.tolist()):
+            expected = one_lane_level(row[:rank], budget)
+            assert struct.pack("<d", level) == struct.pack("<d", expected)
+            assert struct.pack("<d", _water_level(row[:rank], budget)) == struct.pack("<d", expected)
+
+
+def assert_lane(stacked, alone, exact):
+    """To the bit for a lane as wide as its stack; to rounding for a lane padded past its rank,
+    whose sums and products take extra zero terms."""
+    if exact:
+        assert np.array_equal(stacked, alone)
+    else:
+        np.testing.assert_allclose(stacked, alone, rtol=1e-12, atol=1e-13 * np.max(np.abs(alone)))
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 6), st.lists(st.integers(0, 6), min_size=1, max_size=5), seeds,
+       st.floats(-3.0, 3.0), st.floats(0.1, 10.0))
+def test_stacked_capacities_and_waveforms_give_each_lane_its_one_matrix_call(n, m, ranks, seed, exponent,
+                                                                             variance):
+    # lanes of mixed rank; a zero lane has sensing rate 0 in a stack as alone, and a zero
+    # channel or Q_h is refused where the one-matrix call refuses it
+    gen = np.random.default_rng(seed)
+    power, noise, t = 10.0**exponent, NoiseSpec(variance), m + 2
+    hs = np.stack([cn(gen, n, min(r, n, m)) @ cn(gen, min(r, n, m), m) for r in ranks])
+    factors = [cn(gen, m, min(r, m)) for r in ranks]
+    qhs = np.stack([f @ f.conj().T for f in factors])
+    sensing = sensing_capacity(qhs, n, t, power, noise)
+    nonzero = [i for i, r in enumerate(ranks) if r > 0]
+    comm = comm_capacity(hs[nonzero], power, noise) if nonzero else None
+    probe = optimal_sensing_waveform(qhs[nonzero], t, power, noise) if nonzero else None
+    for i, qh in enumerate(qhs):
+        alone = sensing_capacity(qh, n, t, power, noise)
+        if alone.allocation is None:
+            assert sensing.bits_per_transmission[i] == 0.0 == alone.bits_per_transmission
+            continue
+        rank = alone.allocation.levels.size
+        exact = rank == sensing.allocation.levels.shape[-1]
+        assert type(alone.bits_per_transmission) is float
+        assert_lane(sensing.bits_per_transmission[i], alone.bits_per_transmission, exact)
+        lane = sensing.allocation.levels[i]
+        assert np.array_equal(lane[:rank], alone.allocation.levels) and not lane[rank:].any()
+        assert sensing.allocation.water_level[i] == alone.allocation.water_level
+        j = nonzero.index(i)
+        wave = optimal_sensing_waveform(qh, t, power, noise)
+        assert np.array_equal(probe.allocation.levels[j][:rank], wave.allocation.levels)
+        assert_lane(probe.block[j], wave.block, rank == probe.allocation.levels.shape[-1])
+        single = comm_capacity(hs[i], power, noise)
+        rank = single.allocation.levels.size
+        exact = rank == comm.allocation.levels.shape[-1]
+        assert type(single.bits_per_symbol) is float and type(single.allocation.water_level) is float
+        assert_lane(comm.bits_per_symbol[j], single.bits_per_symbol, exact)
+        assert_lane(comm.covariance[j], single.covariance, exact)
+        assert np.array_equal(comm.allocation.levels[j][:rank], single.allocation.levels)
+        assert comm.allocation.water_level[j] == single.allocation.water_level
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12), st.sampled_from([None, 1.0, -1.0]),
