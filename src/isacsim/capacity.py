@@ -105,11 +105,11 @@ def _water_level(floors: np.ndarray, budget: float) -> np.ndarray:
     / k at the largest k for which it lies above the k-th floor (Palomar & Fonollosa, IEEE TSP 2005).
     A lane sums along the last axis alone, so it gets its 1-D level to the bit (inf if all pads)."""
     level = np.full(floors.shape[:-1], np.inf)
-    todo = True  # every lane pending: a scalar until the first comparison makes it a mask
+    todo = np.ones(level.shape, dtype=bool)
     for k in range(floors.shape[-1], 0, -1):
         w = (budget + floors[..., :k].sum(axis=-1)) / k
         np.copyto(level, w, where=todo)  # a lane found at a larger k keeps its level
-        todo &= w <= floors[..., k - 1]  # i.e. not w - floor > 0, and never past a +inf pad
+        todo &= w <= floors[..., k - 1]  # w is not above the k-th floor; never above a +inf pad
         if not np.count_nonzero(todo):
             break
     return level
