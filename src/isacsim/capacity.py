@@ -81,7 +81,8 @@ def _psd_factor(q: np.ndarray, name: str) -> np.ndarray:
 
 def _logdet_bits(m: np.ndarray):
     """log2 det of the Hermitian part of m, or of each matrix of a stack, as NumPy values."""
-    _, logdet = np.linalg.slogdet((m + m.conj().swapaxes(-2, -1)) / 2)
+    half = m / 2  # halved before the sum, which then cannot overflow; exact in the normal range
+    _, logdet = np.linalg.slogdet(half + half.conj().swapaxes(-2, -1))
     return logdet / np.log(2.0)
 
 

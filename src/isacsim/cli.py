@@ -22,7 +22,8 @@ import numpy as np
 
 from .capacity import _comm_mi_bits, comm_capacity
 from .channel import ArrayGeometry, NoiseSpec, build_dictionary
-from .estimation import GridPath, estimate_paths, random_probes, synthesize_observations, write_observations
+from .estimation import (GridPath, _add_noise, _clean_observations, _estimate_paths, _probe_gains, random_probes,
+                         write_observations)
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
@@ -106,8 +107,8 @@ class TrialResult:
     A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
     the block's evaluation of that point divided by the trials in the block.  The block's
     instance draw is not timed; it holds the work all points share, such as
-    isac_tradeoff's stacked eigh of Hc^H Hc, the estimation dictionaries and probes and
-    the beam-scan precoder.
+    isac_tradeoff's stacked eigh of Hc^H Hc, the estimation dictionaries, probes, probe
+    gains and each trial's noiseless observation, and the beam-scan precoder.
     """
 
     scenario: str
@@ -174,12 +175,13 @@ def _estimation_trial(cfg: ScenarioConfig, gens):
     dict_tx = build_dictionary(ArrayGeometry(cfg.m), cfg.d)
     dict_rx = build_dictionary(ArrayGeometry(cfg.n_s), cfg.d)
     probes = random_probes(cfg.m, cfg.t, cfg.seed, stream=1)
+    prepared = _probe_gains(dict_tx, probes, cfg.t)
     lanes = []
     for gen in gens:
         # distinct grid cells on both sides keep the paths resolvable
         picks_p = gen.choice(cfg.d, size=cfg.l, replace=False)
         picks_q = gen.choice(cfg.d, size=cfg.l, replace=False)
-        lanes.append([
+        paths = [
             GridPath(
                 aoa_index=int(p),
                 aod_index=int(q),
@@ -189,21 +191,19 @@ def _estimation_trial(cfg: ScenarioConfig, gens):
                 phase=float(gen.uniform(-np.pi, np.pi)),
             )
             for p, q in zip(picks_p, picks_q)
-        ])
+        ]
+        lanes.append((paths, _clean_observations(dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9)))
 
     def evaluate(snr_db, aux_gens, obs_path="") -> list:
         # per-cell mean signal power is L / n_rx for unit-magnitude paths
         noise_var = cfg.l / cfg.n_s / 10 ** (snr_db / 10)
         metrics = []
-        for paths, aux_gen in zip(lanes, aux_gens):
-            obs = synthesize_observations(
-                dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9,
-                noise_variance=noise_var, seed=int(aux_gen().integers(1 << 32)), stream=2,
-            )
+        for (paths, clean), aux_gen in zip(lanes, aux_gens):
+            obs = _add_noise(clean, noise_var, int(aux_gen().integers(1 << 32)), stream=2)
             if obs_path:  # the dump is of the block's first trial only
                 write_observations(obs, obs_path)
                 obs_path = ""
-            report = estimate_paths(obs, dict_tx, dict_rx, cfg.l, probes)
+            report = _estimate_paths(obs, dict_rx, cfg.l, prepared)
             matched = {(est.aoa_index, est.aod_index): est for est in report.paths}
             # a missed (AoA, AoD) pair counts as an error in every bin
             missed = doppler = delay = 0

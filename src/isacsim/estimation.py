@@ -18,7 +18,7 @@ delay uses the inverse FFT (entries carry exp(-2j pi n tau_x / N_sc)).
 
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +109,14 @@ def synthesize_observations(
     seed: int = 0,
     stream: int = 0,
 ) -> ObservationTensor:
-    """Generate OFDM observations from on-grid paths under the module forward model."""
+    """Generate OFDM observations from on-grid paths under the module forward model: the
+    noiseless tensor, which a sweep over the noise alone builds once, then the noise added."""
+    return _add_noise(_clean_observations(dict_rx, dict_tx, paths, probes, n_subcarriers, subcarrier_spacing_hz,
+                                          symbol_duration_s, carrier_hz), noise_variance, seed, stream)
+
+
+def _clean_observations(dict_rx, dict_tx, paths, probes, n_subcarriers, subcarrier_spacing_hz,
+                        symbol_duration_s, carrier_hz) -> ObservationTensor:
     probes = np.asarray(probes, dtype=complex)
     t = probes.shape[1]
     n_rx = dict_rx.geometry.element_count
@@ -130,9 +137,15 @@ def synthesize_observations(
         ramp_t = np.exp(2j * np.pi * sym_idx * path.doppler_bin / t)
         gains = dict_tx.matrix[:, path.aod_index] @ probes
         data += c0 * np.einsum("n,t,r->ntr", ramp_n, ramp_t * gains, dict_rx.matrix[:, path.aoa_index])
-    if noise_variance > 0:
-        data += np.sqrt(noise_variance) * complex_normal_seeded(data.shape, seed, stream)
     return ObservationTensor(data, subcarrier_spacing_hz, symbol_duration_s, carrier_hz)
+
+
+def _add_noise(clean: ObservationTensor, noise_variance: float, seed: int, stream: int) -> ObservationTensor:
+    """clean plus noise of the given variance in a new array; clean itself without noise."""
+    if not noise_variance > 0:
+        return clean
+    noise = np.sqrt(noise_variance) * complex_normal_seeded(clean.data.shape, seed, stream)
+    return replace(clean, data=clean.data + noise)
 
 
 def _pair_scores(z: np.ndarray, gains: np.ndarray, gain_energy: np.ndarray, p, q) -> np.ndarray:
@@ -180,20 +193,27 @@ def beam_search_angles(
     block would sum pairwise, and so does NumPy when D_rx = 1).  So the
     argmax, its lowest-flat-index tie-break and the picks are unchanged.
     """
+    return _beam_search(obs, dict_rx, num_paths, *_probe_gains(dict_tx, probes, obs.n_symbols))
+
+
+def _probe_gains(dict_tx: SteeringDictionary, probes: np.ndarray, t: int) -> tuple:
+    """Check T probes against dict_tx; their gains g = A_tx^T X (D_tx, T), |g| and ||g_q||^2."""
+    probes = np.asarray(probes, dtype=complex)
+    if probes.shape != (dict_tx.geometry.element_count, t):
+        raise ValueError("probes must supply one transmit vector per symbol")
+    gains = dict_tx.matrix.T @ probes
+    abs_gains = np.abs(gains)
+    if np.any(np.min(abs_gains, axis=1) <= 0):
+        raise ValueError("probing leaves some transmit atoms unobserved at some symbol")
+    return gains, abs_gains, np.sum(abs_gains ** 2, axis=1)
+
+
+def _beam_search(obs, dict_rx, num_paths: int, gains, abs_gains, gain_energy) -> list:
     if num_paths == 0:
         return []
-    probes = np.asarray(probes, dtype=complex)
     y = obs.data.copy()
     if not np.any(y):
         raise ValueError("observations are all zero")
-    t = obs.n_symbols
-    if probes.shape != (dict_tx.geometry.element_count, t):
-        raise ValueError("probes must supply one transmit vector per symbol")
-    gains = dict_tx.matrix.T @ probes  # (D_tx, T)
-    abs_gains = np.abs(gains)
-    gain_energy = np.sum(abs_gains ** 2, axis=1)
-    if np.any(np.min(abs_gains, axis=1) <= 0):
-        raise ValueError("probing leaves some transmit atoms unobserved at some symbol")
     detections = []
     chosen = set()
     for _ in range(num_paths):
@@ -205,10 +225,10 @@ def beam_search_angles(
         best, start, width = -np.inf, 0, 1
         while start < order.size and reach[order[start]] >= best:
             pairs = order[start:start + width]
-            scores[pairs] = _pair_scores(z, gains, gain_energy, *np.divmod(pairs, dict_tx.size))
+            scores[pairs] = _pair_scores(z, gains, gain_energy, *np.divmod(pairs, len(gains)))
             best = max(best, scores[pairs].max())
             start, width = start + width, min(2 * width, dict_rx.size)
-        p, q = divmod(int(np.argmax(scores)), dict_tx.size)
+        p, q = divmod(int(np.argmax(scores)), len(gains))
         if (p, q) in chosen:
             raise ValueError("greedy rounds revisit the same grid cell; paths collide or exceed resolution")
         chosen.add((p, q))
@@ -291,8 +311,12 @@ def estimate_paths(
     """
     if order not in ("doppler_first", "delay_first"):
         raise ValueError(f"unknown stage order {order!r}")
+    return _estimate_paths(obs, dict_rx, num_paths, _probe_gains(dict_tx, probes, obs.n_symbols), order)
+
+
+def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "doppler_first") -> EstimationReport:
     t = obs.n_symbols
-    detections = beam_search_angles(obs, dict_tx, dict_rx, num_paths, probes)
+    detections = _beam_search(obs, dict_rx, num_paths, *prepared)
     # built after the search: a few more objects alive across it multiplied its page faults
     delay, doppler = _Stage(0, np.fft.ifft, 1), _Stage(1, np.fft.fft, t)
     first, second = (doppler, delay) if order == "doppler_first" else (delay, doppler)
@@ -315,9 +339,8 @@ def estimate_paths(
                          doppler_bin=f_x, delay_bin=tau_x, gain=gain)
         )
     residual = obs.data.copy()
-    gains = dict_tx.matrix.T @ np.asarray(probes, dtype=complex)
     for det in detections:
-        recon = det.series[:, :, None] * gains[det.aod_index][None, :, None]
+        recon = det.series[:, :, None] * prepared[0][det.aod_index][None, :, None]
         residual = residual - recon * dict_rx.matrix[:, det.aoa_index][None, None, :]
     return EstimationReport(
         paths=tuple(estimates),

@@ -10,7 +10,7 @@ from isacsim import (
     ConvergenceError, NoiseSpec, comm_capacity, optimal_sensing_waveform, sensing_capacity,
     solve_pareto_tradeoff,
 )
-from isacsim import cli
+from isacsim import cli, estimation
 from isacsim.cli import ScenarioConfig, TrialResult, config_from_dict, emit_results, main, run_scenario
 from isacsim.rng import complex_normal, philox_stream
 
@@ -130,7 +130,8 @@ class TestRunScenario:
     def test_instance_work_runs_once_per_trial(self, monkeypatch):
         # counts matrices, not calls: isac_tradeoff decomposes a block of trials in one stacked call
         calls = ("build_dictionary", "random_probes", "philox_stream", "zf_scanning_precoder", "shift_schedule")
-        counts = dict.fromkeys(("optimal_sensing_waveform", "eigh") + calls, 0)
+        counts = dict.fromkeys(("optimal_sensing_waveform", "eigh", "_probe_gains", "_clean_observations",
+                                "einsum") + calls, 0)
 
         def counting(namespace, name, count=lambda *args: 1):
             original = getattr(namespace, name)
@@ -152,9 +153,16 @@ class TestRunScenario:
         assert counts["optimal_sensing_waveform"] == 3  # waveforms built: not trials x 5 rho points
         # per trial: the sensing covariance, and one basis of Hc^H Hc for all 5 rho points
         assert counts["eigh"] == 2 * 3
+        for namespace in (cli, estimation):  # the CLI's own call and the public functions' calls
+            counting(namespace, "_probe_gains")
+        counting(cli, "_clean_observations")
+        counting(np, "einsum")  # one per path of each noiseless tensor built
         run_scenario(cfg(scenario="mmwave_estimation", trials=3, seed=2))
-        # the block's trials share the two dictionaries and the probes
+        # the block's trials share the two dictionaries, the probes and their gains, and each
+        # trial's noiseless observation serves all 4 SNR points: 3 tensors, not 12
         assert counts["build_dictionary"] == 2 and counts["random_probes"] == 1
+        assert counts["_probe_gains"] == 1
+        assert counts["_clean_observations"] == counts["einsum"] == 3
         counts["philox_stream"] = 0
         run_scenario(cfg(scenario="capacity_sweep", trials=3, seed=2))
         assert counts["philox_stream"] == 3  # the instance streams; no point draws an aux stream
@@ -414,6 +422,38 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: power budget 1e+308") and captured.err.count("\n") == 1
+
+    def test_huge_power_gives_finite_mi_bits_without_warnings(self, capsys):
+        # the Hermitian part of I + H Q H^H / sigma^2 used to overflow in its sum m + m^H,
+        # so mi_bits read nan beside a finite comm_bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["capacity_sweep", "--m", "8", "--n-c", "8", "--power-list", "5e307", "--trials", "3"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        values = {}
+        for line in captured.out.splitlines()[1:]:
+            _, _, _, trial, metric, value = line.split(",")
+            values[trial, metric] = float(value)
+        for trial in ("0", "1", "2", "mean"):
+            comm, mi = values[trial, "comm_bits"], values[trial, "mi_bits"]
+            assert comm > 8000 and abs(mi - comm) <= 1e-12 * comm
+
+    def test_unobserved_transmit_atom_exits_one_with_message(self, monkeypatch, capsys):
+        # the block's probe gains are checked once, when the block is drawn
+        drawn = cli.random_probes
+
+        def silent_probes(m, t, seed, stream=0):
+            probes = drawn(m, t, seed, stream)
+            probes[:, 2] = 0.0  # symbol 2 probes no transmit atom
+            return probes
+
+        monkeypatch.setattr(cli, "random_probes", silent_probes)
+        code = main(["mmwave_estimation", "--trials", "70", "--threads", "2", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: probing leaves some transmit atoms unobserved at some symbol\n"
 
     @pytest.mark.parametrize("p_t", [
         1e250,

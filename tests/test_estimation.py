@@ -129,6 +129,21 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search_angles(obs, dict_tx, dict_rx, 3, probes)
 
+    @pytest.mark.parametrize("search", [beam_search_angles, estimate_paths])
+    def test_bad_inputs_raise_their_own_messages(self, search):
+        dict_tx, dict_rx, probes = make_setup()
+        obs = observe([GridPath(2, 3, 1, 4, 1.0, 0.3)], dict_tx, dict_rx, probes)
+        silent = probes.copy()
+        silent[:, 5] = 0.0  # symbol 5 probes no transmit atom
+        zeros = ObservationTensor(np.zeros((16, 8, 4)), SPACING, DURATION, CARRIER)
+        for args, message in (((zeros, probes), "observations are all zero"),
+                              ((obs, silent), "probing leaves some transmit atoms unobserved at some symbol"),
+                              ((obs, probes[:, :7]), "probes must supply one transmit vector per symbol"),
+                              ((obs, probes[:3]), "probes must supply one transmit vector per symbol")):
+            with pytest.raises(ValueError) as info:
+                search(args[0], dict_tx, dict_rx, 1, args[1])
+            assert str(info.value) == message
+
 
 class TestEstimateDoppler:
     def test_on_grid_construction(self):

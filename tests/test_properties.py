@@ -37,7 +37,10 @@ from isacsim import (
     write_observations,
 )
 from isacsim.capacity import _water_level
-from isacsim.estimation import _PRUNE_RTOL, _pair_scores
+from isacsim import cli
+from isacsim.cli import ScenarioConfig, run_scenario
+from isacsim.estimation import (_PRUNE_RTOL, _add_noise, _beam_search, _clean_observations, _estimate_paths,
+                                _pair_scores, _probe_gains)
 from isacsim.rng import complex_normal, philox_stream
 from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _pareto_solver, _project_psd_trace
 
@@ -724,6 +727,77 @@ def test_noiseless_estimation_round_trip(seed, m, n_s, t, n_sc, l):
             true = truth[(est.aoa_index, est.aod_index)]
             assert (est.doppler_bin, est.delay_bin) == (true.doppler_bin, true.delay_bin)
             assert abs(est.gain - true.magnitude * np.exp(1j * true.phase)) < 1e-9
+
+
+def outcome(call):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.integers(2, 20),
+       st.integers(2, 20), st.integers(0, 4), st.sampled_from([0.0, 1e-300, 0.01]) | st.floats(1e-6, 1e3))
+def test_split_steps_and_prepared_gains_match_the_public_calls_to_the_bit(seed, m, n_s, extra, t, n_sc, l,
+                                                                         noise):
+    gen = np.random.default_rng(seed)
+    d = max(m, n_s) + extra
+    l = min(l, d)
+    dict_tx = build_dictionary(ArrayGeometry(m), d)
+    dict_rx = build_dictionary(ArrayGeometry(n_s), d)
+    paths = on_grid_paths(gen, d, d, l, t, n_sc, gen.uniform(0.3, 2.0, size=l))
+    probes = random_probes(m, t, seed)
+    args = (dict_rx, dict_tx, paths, probes, n_sc, SPACING, DURATION, CARRIER)
+    obs = synthesize_observations(*args, noise_variance=noise, seed=seed, stream=2)
+    clean = _clean_observations(*args)
+    held = clean.data.copy()
+    split = _add_noise(clean, noise, seed, 2)
+    assert split.data.tobytes() == obs.data.tobytes() and clean.data.tobytes() == held.tobytes()
+    assert (split.subcarrier_spacing_hz, split.symbol_duration_s, split.carrier_hz) == (SPACING, DURATION, CARRIER)
+
+    prepared = _probe_gains(dict_tx, probes, t)
+    found = outcome(lambda: beam_search_angles(obs, dict_tx, dict_rx, l, probes))
+    again = outcome(lambda: _beam_search(obs, dict_rx, l, *prepared))
+    if isinstance(found, str):  # the greedy rounds revisit a cell
+        assert again == found
+    else:
+        assert [(det.aoa_index, det.aod_index) for det in again] == [(det.aoa_index, det.aod_index) for det in found]
+        assert all(a.series.tobytes() == b.series.tobytes() for a, b in zip(again, found))
+    for order in ("doppler_first", "delay_first"):
+        report = outcome(lambda: estimate_paths(obs, dict_tx, dict_rx, l, probes, order=order))
+        mine = outcome(lambda: _estimate_paths(obs, dict_rx, l, prepared, order))
+        if isinstance(report, str):
+            assert mine == report
+            continue
+        assert repr(mine.paths) == repr(report.paths)  # repr keeps the sign of a zero
+        assert mine.residual_energy.hex() == report.residual_energy.hex()
+        assert mine.peak_ratios.tobytes() == report.peak_ratios.tobytes()
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 3), st.integers(1, 5), st.sampled_from([1, 2]),
+       st.lists(st.sampled_from([-10.0, 30.0]) | st.floats(-20.0, 40.0), min_size=1, max_size=4))
+def test_estimation_block_never_writes_its_noiseless_observations(tmp_path_factory, seed, l, trials, threads,
+                                                                  snrs):
+    built = []
+
+    def recording(*args):
+        clean = _clean_observations(*args)
+        built.append((clean, clean.data.copy()))
+        return clean
+
+    obs_path = tmp_path_factory.mktemp("obs") / "obs.bin"
+    config = ScenarioConfig(scenario="mmwave_estimation", m=2, n_s=3, d=4, l=l, t=4, n_sc=8,
+                            snr_db_list=tuple(snrs), trials=trials, seed=seed, threads=threads,
+                            obs_path=str(obs_path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_clean_observations", recording)
+        run_scenario(config)
+    assert len(built) == trials
+    for clean, held in built:
+        assert clean.data.tobytes() == held.tobytes()
 
 
 # ---------------------------------------------------------------------------
