@@ -120,7 +120,7 @@ def _fill(lam: np.ndarray, budget: float, noise: NoiseSpec):
     """Water-fill `budget` over each lane of a (..., n) stack of descending gains lam, 0 past a lane's
     rank: beta_g = (w - sigma^2/lam_g)^+ at w = _water_level(sigma^2/lam).  Returns the
     PowerAllocation and each lane's rate sum_g log2(1 + lam_g beta_g / sigma^2)."""
-    if budget <= 0:
+    if not budget > 0:  # NaN too
         raise ValueError("power budget must be > 0")
     floors = np.divide(noise.variance, lam, out=np.full(lam.shape, np.inf), where=lam > 0)
     w = _water_level(floors, budget)

@@ -38,6 +38,14 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _snr_linear(snr_db: float) -> float:
+    """10 ** (snr_db / 10) as the estimation trial forms it, or inf where that overflows."""
+    try:
+        return 10 ** (snr_db / 10)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -283,6 +291,9 @@ _SCENARIO_TABLE = {
     "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _estimation_trial, (
         (lambda cfg: cfg.d >= max(cfg.m, cfg.n_s), "dictionary size d must be >= both array sizes"),
         (lambda cfg: cfg.l <= cfg.d, "cannot draw more resolvable paths than grid cells per side"),
+        (lambda cfg: all(0.0 < _snr_linear(snr) < math.inf and math.isfinite(cfg.l / cfg.n_s / _snr_linear(snr))
+                         for snr in cfg.snr_db_list),
+         "each SNR must give a finite 10^(snr/10) > 0 and a finite noise variance l / n_s / 10^(snr/10)"),
     )),
     "beam_scan": Scenario("interval", lambda cfg: tuple(float(j) for j in range(cfg.d)),
                           _beam_scan_trial,

@@ -15,6 +15,7 @@ from .channel import NoiseSpec
 from .sensing import _sensing_mi_bits, sensing_capacity
 
 _LN2 = np.log(2.0)
+_RUNGS = 2  # line-search steps projected and scored together in each round of optimize_weighted_mi
 
 
 class ConvergenceError(RuntimeError):
@@ -83,11 +84,13 @@ def weighted_mi_objective(
 
 
 def _project_psd_trace(q: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {Q Hermitian PSD, trace(Q) <= budget}."""
-    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
+    """Euclidean projection onto {Q Hermitian PSD, trace(Q) <= budget} of a matrix, or of each of a stack."""
+    vals, vecs = np.linalg.eigh((q + q.conj().swapaxes(-2, -1)) / 2)
     clipped = np.maximum(vals, 0.0)
-    if clipped.sum() > budget:  # water-fill the budget over the floors -vals
-        clipped = np.maximum(vals + _water_level(-vals[::-1], budget), 0.0)
+    over = clipped.sum(axis=-1) > budget
+    if over.any():  # water-fill the floors -vals of the lanes over budget; a lane's level is its own
+        filled = np.maximum(vals + _water_level(-vals[..., ::-1], budget)[..., None], 0.0)
+        clipped = np.where(over[..., None], filled, clipped)
     return _from_eigs(vecs, clipped)
 
 
@@ -107,8 +110,10 @@ def optimize_weighted_mi(
     Projected gradient ascent on the PSD trace-ball with backtracking line
     search.  Terminates when the projected-gradient mapping (unit probe step)
     has Frobenius norm below `grad_tol`; hitting the iteration cap first
-    raises ConvergenceError with the last iterate attached.  A line-search try
-    at step 1 takes the mapping's projection, which is the same point.
+    raises ConvergenceError with the last iterate attached.  The line search
+    tries s, s/2, s/4, ... down to 1e-18 in rounds of _RUNGS steps, each round
+    projected (with the unit step first) and scored as one stack, lane by lane,
+    so the iterates are those of a one-step-at-a-time search to the bit.
 
     Returns (covariance, objective_value, normalizers) where normalizers is
     the (comm, sensing) capacity pair used for scaling.
@@ -116,7 +121,7 @@ def optimize_weighted_mi(
     rho = _check_rho(rho)
     hc = np.asarray(hc, dtype=complex)
     qh = np.asarray(qh, dtype=complex)
-    if budget <= 0:
+    if not budget > 0:  # NaN too
         raise ValueError("power budget must be > 0")
     m = hc.shape[1]
     comm_norm = comm_capacity(hc, budget, noise).bits_per_symbol if rho > 0 else 1.0
@@ -125,8 +130,8 @@ def optimize_weighted_mi(
     )
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
 
-    def objective(q):
-        return float(_weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm))
+    def objective(qs):  # one Python float per lane of the stack qs
+        return _weighted_mi(qs, hc, f, rho, noise, t, n_s, comm_norm, sens_norm).tolist()
 
     hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
     eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)
@@ -141,28 +146,32 @@ def optimize_weighted_mi(
             g += sens_w * (f @ np.linalg.inv(eye_s + t * (fh @ q @ f) / noise.variance) @ fh)
         return (g + g.conj().T) / 2
 
+    def project(s, unit=False):  # the projections of q + r g for r = s, s/2, ... (after r = 1 if unit)
+        rungs = np.array([1.0] * unit + [s * 0.5**k for k in range(_RUNGS)])[:, None, None]
+        return _project_psd_trace(np.where(rungs == 1.0, q + g, q + rungs * g), budget)  # 1.0 * g may flip a -0.0
+
+    def search(s, cands):  # (r, projection, objective) for r = s, s/2, s/4, ..., a stacked round at a time
+        while True:
+            yield from zip([s * 0.5**k for k in range(_RUNGS)], cands, objective(cands))
+            s *= 0.5**_RUNGS
+            cands = project(s)
+
     q = budget / m * np.eye(m, dtype=complex)
-    obj = objective(q)
+    obj = objective(q[None])[0]
     step = 1.0
     gap = np.inf
     for _ in range(max_iter):
         g = gradient(q)
-        unit = _project_psd_trace(q + g, budget)
-        gap = float(np.linalg.norm(unit - q, "fro"))
+        cands = project(step, unit=step != 1.0)  # lane 0 is the unit step, the first rung itself at step 1
+        gap = float(np.linalg.norm(cands[0] - q, "fro"))
         if gap < grad_tol:
             return q, obj, (comm_norm, sens_norm)
-        s = step
-        while True:
-            cand = unit if s == 1.0 else _project_psd_trace(q + s * g, budget)  # 1.0 * g == g
-            advance = float(np.real(np.vdot(g, cand - q)))
-            cand_obj = objective(cand)
-            if cand_obj >= obj + 1e-4 * advance and cand_obj > obj:
+        for s, cand, cand_obj in search(step, cands[int(step != 1.0):]):
+            if s < 1e-18:  # no step passed; step never starts below 1e-18
                 break
-            s *= 0.5
-            if s < 1e-18:
-                cand, cand_obj = q, obj
+            if cand_obj >= obj + 1e-4 * float(np.real(np.vdot(g, cand - q))) and cand_obj > obj:
+                q, obj = cand, cand_obj
                 break
-        q, obj = cand, cand_obj
         step = min(s * 2.0, 1e6)
     raise ConvergenceError(
         f"projected gradient ascent did not reach mapping norm {grad_tol:.1e} "

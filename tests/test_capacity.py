@@ -113,6 +113,16 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill([1.0], 0.0, NoiseSpec(1.0))
 
+    @pytest.mark.parametrize("budget, message", [
+        (float("nan"), "^power budget must be > 0$"),  # NaN failed `budget <= 0`
+        (float("inf"), "^power budget inf gives an infinite water-filled rate$"),
+    ], ids=["nan", "inf"])
+    def test_bad_budget_raises_its_message(self, budget, message):
+        with pytest.raises(ValueError, match=message):
+            waterfill([2.0, 1.0], budget, NoiseSpec(1.0))
+        with pytest.raises(ValueError, match=message):
+            comm_capacity(random_channel(2, 2, 0), budget, NoiseSpec(1.0))
+
 
 class TestCommCapacity:
     def test_identity_channel_splits_evenly(self):

@@ -412,6 +412,29 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: block energy t * p") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("snr_flags", [
+        # 10^400 overflows (a traceback), and 10^-400 underflows to 0, by which the noise
+        # variance would divide (a traceback)
+        ["--snr-list", "4000"],
+        ["--snr-list=-4000"],
+        # 10^-310 is a positive subnormal, but l / n_s / 10^-310 is inf (the run printed nan)
+        ["--snr-list=0,-3100"],
+    ], ids=["overflow", "underflow", "infinite_noise"])
+    def test_extreme_snr_exits_one_with_message(self, capsys, snr_flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["mmwave_estimation", *snr_flags, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: each SNR must give a finite 10^(snr/10) > 0 and a finite noise variance"
+                                " l / n_s / 10^(snr/10)\n")
+
+    def test_no_paths_still_runs_at_ordinary_snrs(self, capsys):
+        # l = 0 gives a zero noise variance, which is finite: the SNR checks let it through
+        assert main(["mmwave_estimation", "--l", "0", "--snr-list", "0,30", "--trials", "2", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "mmwave_estimation,snr_db,30.0,mean," in captured.out
+
     def test_overflowing_water_filled_rate_exits_one_with_message(self, capsys):
         # power 1e308 is finite, but trial 1's rate sum log2(1 + lam beta / sigma^2) overflows:
         # the run used to print comm_bits inf and mi_bits nan for it

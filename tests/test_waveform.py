@@ -176,6 +176,15 @@ class TestOptimizeWeightedMi:
             steps = [s / 10 for s in steps]
         assert abs(obj - vals[best]) < 1e-3
 
+    @pytest.mark.parametrize("budget, message", [
+        (float("nan"), "^power budget must be > 0$"),  # NaN failed `budget <= 0` and reached the fill
+        (0.0, "^power budget must be > 0$"),
+        (float("inf"), "^power budget inf gives an infinite water-filled rate$"),
+    ], ids=["nan", "zero", "inf"])
+    def test_bad_budget_raises_its_message(self, budget, message):
+        with pytest.raises(ValueError, match=message):
+            optimize_weighted_mi(self.hc, self.qh, 0.5, budget, self.noise, self.t, self.n_s)
+
     def test_deterministic(self):
         a = optimize_weighted_mi(self.hc, self.qh, 0.3, 1.0, self.noise, self.t, self.n_s)
         b = optimize_weighted_mi(self.hc, self.qh, 0.3, 1.0, self.noise, self.t, self.n_s)
