@@ -7,6 +7,7 @@ import numpy as np
 from .channel import NoiseSpec
 
 _RANK_RTOL = 1e-12  # eigenvalues below this fraction of the largest count as zero
+_PSD_TOL = 1e-10  # require_psd's Hermitian and eigenvalue tolerance, relative to max(1, max |q_ij|)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class CapacityResult:
     allocation: PowerAllocation
 
 
-def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10):
+def require_psd(q: np.ndarray, name: str = "matrix"):
     """Raise ValueError unless q, or every matrix of a stack q[..., :, :], is Hermitian PSD.
 
     Returns the checked (ascending) eigenpairs, stacked like q; each matrix is
@@ -45,11 +46,11 @@ def require_psd(q: np.ndarray, name: str = "matrix", tol: float = 1e-10):
         raise ValueError(f"{name} must be square")
     scale = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1), initial=0.0))
     herm = q.conj().swapaxes(-2, -1)
-    if np.any(np.max(np.abs(q - herm), axis=(-2, -1), initial=0.0) > tol * scale):
+    if np.any(np.max(np.abs(q - herm), axis=(-2, -1), initial=0.0) > _PSD_TOL * scale):
         raise ValueError(f"{name} is not Hermitian")
     vals, vecs = np.linalg.eigh((q + herm) / 2)
     eigmin = np.min(vals, axis=-1, initial=np.inf)
-    if np.any(eigmin < -tol * scale):
+    if np.any(eigmin < -_PSD_TOL * scale):
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {np.min(eigmin):.3e})")
     return vals, vecs
 
@@ -122,7 +123,8 @@ def _fill(lam: np.ndarray, budget: float, noise: NoiseSpec):
     PowerAllocation and each lane's rate sum_g log2(1 + lam_g beta_g / sigma^2)."""
     if not budget > 0:  # NaN too
         raise ValueError("power budget must be > 0")
-    floors = np.divide(noise.variance, lam, out=np.full(lam.shape, np.inf), where=lam > 0)
+    with np.errstate(over="ignore"):  # a floor that overflows lies above every finite level: +inf, as a pad
+        floors = np.divide(noise.variance, lam, out=np.full(lam.shape, np.inf), where=lam > 0)
     w = _water_level(floors, budget)
     levels = np.maximum(np.subtract(w[..., None], floors, out=np.zeros(lam.shape), where=lam > 0), 0.0)
     with np.errstate(over="ignore"):  # an infinite rate is refused below

@@ -7,7 +7,6 @@ outputs are byte-identical across runs and thread counts.
 """
 
 import argparse
-import functools
 import json
 import math
 import numbers
@@ -22,7 +21,7 @@ import numpy as np
 
 from .capacity import _comm_mi_bits, comm_capacity
 from .channel import ArrayGeometry, NoiseSpec, build_dictionary
-from .estimation import (GridPath, _add_noise, _clean_observations, _estimate_paths, _probe_gains, random_probes,
+from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, random_probes, synthesize_observations,
                          write_observations)
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
@@ -36,14 +35,6 @@ BLOCK_TRIALS = 64  # trials per pool task: the unit of work and of timing
 def _is_number(value) -> bool:
     """A finite real number; bool is excluded even though it subclasses int."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _snr_linear(snr_db: float) -> float:
-    """10 ** (snr_db / 10) as the estimation trial forms it, or inf where that overflows."""
-    try:
-        return 10 ** (snr_db / 10)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -113,10 +104,11 @@ class TrialResult:
     """One trial's metrics at one sweep point, or a point's mean/std row (wall time 0).
 
     A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
-    the block's evaluation of that point divided by the trials in the block.  The block's
-    instance draw is not timed; it holds the work all points share, such as
-    isac_tradeoff's stacked eigh of Hc^H Hc, the estimation dictionaries, probes, probe
-    gains and each trial's noiseless observation, and the beam-scan precoder.
+    the block's evaluation of that point divided by the trials in the block, including
+    any draw of the point's own (such as the estimation noise).  The block's instance
+    draw is not timed; it holds the work all points share, such as isac_tradeoff's
+    stacked eigh of Hc^H Hc, the estimation dictionaries, probes, probe gains and each
+    trial's noiseless observation, and the beam-scan precoder.
     """
 
     scenario: str
@@ -136,11 +128,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**data)
 
 
-def _capacity_trial(cfg: ScenarioConfig, gens):
+def _capacity_trial(cfg: ScenarioConfig, block: range, gens):
     hs = complex_normal(gens, (cfg.n_c, cfg.m))
     noise = NoiseSpec(cfg.noise_var)
 
-    def evaluate(power, aux_gens) -> list:
+    def evaluate(pi, power) -> list:
         res = comm_capacity(hs, power, noise)
         # comm_capacity's covariance is its own Hermitian PSD V diag(beta) V^H: no check
         mi = _comm_mi_bits(hs, res.covariance, noise)
@@ -150,19 +142,19 @@ def _capacity_trial(cfg: ScenarioConfig, gens):
     return evaluate
 
 
-def _sensing_trial(cfg: ScenarioConfig, gens):
+def _sensing_trial(cfg: ScenarioConfig, block: range, gens):
     a = complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s)))
     qh = a @ a.conj().swapaxes(-2, -1) / a.shape[-1]
     noise = NoiseSpec(cfg.noise_var)
 
-    def evaluate(power, aux_gens) -> list:
+    def evaluate(pi, power) -> list:
         bits = sensing_capacity(qh, cfg.n_s, cfg.t, power, noise).bits_per_transmission
         return [{"sensing_bits": b} for b in bits.tolist()]
 
     return evaluate
 
 
-def _tradeoff_trial(cfg: ScenarioConfig, gens):
+def _tradeoff_trial(cfg: ScenarioConfig, block: range, gens):
     """A block of trials as stacks: one stacked eigh for the Q_h checks and sensing
     waveforms, one for the Hc^H Hc bases, and each rho solves every lane at once."""
     hc, c, a = (complex_normal(gens, shape) for shape in ((cfg.k, cfg.m), (cfg.k, cfg.t), (cfg.m, cfg.m)))
@@ -170,7 +162,7 @@ def _tradeoff_trial(cfg: ScenarioConfig, gens):
     xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.swapaxes(-2, -1)
     solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
 
-    def evaluate(rho, aux_gens) -> list:
+    def evaluate(pi, rho) -> list:
         interference, distance = _pareto_terms(hc, c, xs, solve(rho))
         objective = rho * interference + (1.0 - rho) * distance
         return [{"interference_power": i, "waveform_distance": d, "objective": o}
@@ -179,7 +171,16 @@ def _tradeoff_trial(cfg: ScenarioConfig, gens):
     return evaluate
 
 
-def _estimation_trial(cfg: ScenarioConfig, gens):
+def _noise_variance(cfg: ScenarioConfig, snr_db: float) -> float:
+    """Per-cell noise variance at one SNR, as the mean signal power per cell of unit-magnitude
+    paths, l / n_rx, over 10^(snr/10); nan where a step overflows or divides by zero."""
+    try:
+        return cfg.l / cfg.n_s / 10 ** (snr_db / 10)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+def _estimation_trial(cfg: ScenarioConfig, block: range, gens):
     dict_tx = build_dictionary(ArrayGeometry(cfg.m), cfg.d)
     dict_rx = build_dictionary(ArrayGeometry(cfg.n_s), cfg.d)
     probes = random_probes(cfg.m, cfg.t, cfg.seed, stream=1)
@@ -200,17 +201,17 @@ def _estimation_trial(cfg: ScenarioConfig, gens):
             )
             for p, q in zip(picks_p, picks_q)
         ]
-        lanes.append((paths, _clean_observations(dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9)))
+        lanes.append((paths, synthesize_observations(dict_rx, dict_tx, paths, probes, cfg.n_sc, 15e3, 1e-4, 28e9)))
 
-    def evaluate(snr_db, aux_gens, obs_path="") -> list:
-        # per-cell mean signal power is L / n_rx for unit-magnitude paths
-        noise_var = cfg.l / cfg.n_s / 10 ** (snr_db / 10)
+    def evaluate(pi, snr_db) -> list:
+        noise_var = _noise_variance(cfg, snr_db)
         metrics = []
-        for (paths, clean), aux_gen in zip(lanes, aux_gens):
-            obs = _add_noise(clean, noise_var, int(aux_gen().integers(1 << 32)), stream=2)
-            if obs_path:  # the dump is of the block's first trial only
-                write_observations(obs, obs_path)
-                obs_path = ""
+        for trial, (paths, clean) in zip(block, lanes):
+            # the (seed, point, trial) stream seeds this lane's noise at this point
+            seed = int(philox_stream(cfg.seed, (pi + 1) * 1_000_003 + trial).integers(1 << 32))
+            obs = _add_noise(clean, noise_var, seed, stream=2)
+            if cfg.obs_path and pi == trial == 0:  # the dump is of the first point's first trial
+                write_observations(obs, cfg.obs_path)
             report = _estimate_paths(obs, dict_rx, cfg.l, prepared)
             matched = {(est.aoa_index, est.aod_index): est for est in report.paths}
             # a missed (AoA, AoD) pair counts as an error in every bin
@@ -239,7 +240,7 @@ def _estimation_trial(cfg: ScenarioConfig, gens):
     return evaluate
 
 
-def _beam_scan_trial(cfg: ScenarioConfig, gens):
+def _beam_scan_trial(cfg: ScenarioConfig, block: range, gens):
     geom = ArrayGeometry(cfg.m)
     dictionary = build_dictionary(geom, cfg.d)
     base_idx = cfg.d // 2  # broadside grid cell
@@ -249,7 +250,7 @@ def _beam_scan_trial(cfg: ScenarioConfig, gens):
     residual = float(np.linalg.norm(dictionary.matrix.T @ base - desired, "fro"))
     step = 1.0 / cfg.d
 
-    def evaluate(interval, aux_gens) -> list:
+    def evaluate(pi, interval) -> list:
         # wrap the accumulated shift into the arcsin domain before applying it once
         shift = (int(interval) * step + 0.5) % 1.0 - 0.5
         shifted = shift_schedule(base, geom, shift, 1)
@@ -265,16 +266,15 @@ def _beam_scan_trial(cfg: ScenarioConfig, gens):
             "peak_match": float(peak == expected),
             "column_norm_drift": norm_dev,
         }
-        return [row] * len(aux_gens)  # no trial draws anything, so all share the row
+        return [row] * len(block)  # no trial draws anything, so all share the row
 
     return evaluate
 
 
-# One record per scenario.  trial(cfg, gens) draws the instances of a block of trials, one
-# generator each, builds once what they share (such as the estimation dictionaries and probes)
-# and returns evaluate(point, aux_gens) -> one metrics dict per trial, which draws only from
-# the generators aux_gens[i]() build; requires holds the (condition on cfg, message) pairs
-# that ScenarioConfig checks.
+# One record per scenario.  trial(cfg, block, gens) draws the instances of a block of trials,
+# one generator each, builds once what they share (such as the estimation dictionaries and
+# probes) and returns evaluate(pi, point) -> one metrics dict per trial of the block at the
+# pi-th point; requires holds the (condition on cfg, message) pairs that ScenarioConfig checks.
 Scenario = namedtuple("Scenario", "param_name points trial requires", defaults=((),))
 
 _PROBES_FIT = (lambda cfg: cfg.t >= cfg.m,
@@ -291,8 +291,7 @@ _SCENARIO_TABLE = {
     "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _estimation_trial, (
         (lambda cfg: cfg.d >= max(cfg.m, cfg.n_s), "dictionary size d must be >= both array sizes"),
         (lambda cfg: cfg.l <= cfg.d, "cannot draw more resolvable paths than grid cells per side"),
-        (lambda cfg: all(0.0 < _snr_linear(snr) < math.inf and math.isfinite(cfg.l / cfg.n_s / _snr_linear(snr))
-                         for snr in cfg.snr_db_list),
+        (lambda cfg: all(math.isfinite(_noise_variance(cfg, snr)) for snr in cfg.snr_db_list),
          "each SNR must give a finite 10^(snr/10) > 0 and a finite noise variance l / n_s / 10^(snr/10)"),
     )),
     "beam_scan": Scenario("interval", lambda cfg: tuple(float(j) for j in range(cfg.d)),
@@ -306,24 +305,19 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute every (parameter point, trial) pair and append mean/std rows per point.
 
     One task per block of at most BLOCK_TRIALS consecutive trials draws the block's
-    instances, trial i from the (seed, i) stream, and evaluates each point on them;
-    aux_gens[i]() builds the point's (seed, point, trial) stream on demand.  Blocks
-    depend on the trial index alone, and rows are merged point-major in trial order,
-    so the output does not depend on the thread count.
+    instances, trial i from the (seed, i) stream, and evaluates each point on them.
+    Blocks depend on the trial index alone, and rows are merged point-major in trial
+    order, so the output does not depend on the thread count.
     """
     scenario = _SCENARIO_TABLE[cfg.scenario]
     points = scenario.points(cfg)
 
     def task(block: range) -> list:
-        evaluate = scenario.trial(cfg, [philox_stream(cfg.seed, stream=trial) for trial in block])
+        evaluate = scenario.trial(cfg, block, [philox_stream(cfg.seed, stream=trial) for trial in block])
         timed = []
         for pi, point in enumerate(points):
-            aux_gens = [functools.partial(philox_stream, cfg.seed, (pi + 1) * 1_000_003 + trial)
-                        for trial in block]
-            # ScenarioConfig allows obs_path only for mmwave_estimation, whose evaluate takes it
-            dump = {"obs_path": cfg.obs_path} if cfg.obs_path and pi == block.start == 0 else {}
             start = time.perf_counter()
-            metrics = evaluate(point, aux_gens, **dump)
+            metrics = evaluate(pi, point)
             timed.append((metrics, (time.perf_counter() - start) / len(block)))
         return timed
 

@@ -109,14 +109,8 @@ def synthesize_observations(
     seed: int = 0,
     stream: int = 0,
 ) -> ObservationTensor:
-    """Generate OFDM observations from on-grid paths under the module forward model: the
-    noiseless tensor, which a sweep over the noise alone builds once, then the noise added."""
-    return _add_noise(_clean_observations(dict_rx, dict_tx, paths, probes, n_subcarriers, subcarrier_spacing_hz,
-                                          symbol_duration_s, carrier_hz), noise_variance, seed, stream)
-
-
-def _clean_observations(dict_rx, dict_tx, paths, probes, n_subcarriers, subcarrier_spacing_hz,
-                        symbol_duration_s, carrier_hz) -> ObservationTensor:
+    """Generate OFDM observations from on-grid paths under the module forward model; at the default
+    noise_variance 0, the noiseless tensor, which a sweep over the noise alone builds once."""
     probes = np.asarray(probes, dtype=complex)
     t = probes.shape[1]
     n_rx = dict_rx.geometry.element_count
@@ -137,7 +131,8 @@ def _clean_observations(dict_rx, dict_tx, paths, probes, n_subcarriers, subcarri
         ramp_t = np.exp(2j * np.pi * sym_idx * path.doppler_bin / t)
         gains = dict_tx.matrix[:, path.aod_index] @ probes
         data += c0 * np.einsum("n,t,r->ntr", ramp_n, ramp_t * gains, dict_rx.matrix[:, path.aoa_index])
-    return ObservationTensor(data, subcarrier_spacing_hz, symbol_duration_s, carrier_hz)
+    return _add_noise(ObservationTensor(data, subcarrier_spacing_hz, symbol_duration_s, carrier_hz),
+                      noise_variance, seed, stream)
 
 
 def _add_noise(clean: ObservationTensor, noise_variance: float, seed: int, stream: int) -> ObservationTensor:

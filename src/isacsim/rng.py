@@ -27,16 +27,15 @@ def complex_normal(gen, shape) -> np.ndarray:
     """
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
     n = int(np.prod(shape)) if shape else 1
-    if isinstance(gen, np.random.Generator):
-        u = gen.random((2, n))
-    else:
-        gens = list(gen)
-        shape = (len(gens), *shape)
-        u = np.stack([g.random((2, n)) for g in gens], axis=1)  # (2, lanes, n)
-    radius = np.sqrt(-np.log1p(-u[0]))  # 1-u in (0,1] keeps the log finite
-    angle = 2.0 * np.pi * u[1]
+    single = isinstance(gen, np.random.Generator)
+    gens = [gen] if single else list(gen)  # one generator is the one-lane case, returned unstacked
+    u = np.empty((len(gens), 2, n))
+    for g, lane in zip(gens, u):
+        g.random(out=lane)
+    radius = np.sqrt(-np.log1p(-u[:, 0]))  # 1-u in (0,1] keeps the log finite
+    angle = 2.0 * np.pi * u[:, 1]
     z = radius * np.cos(angle) + 1j * radius * np.sin(angle)
-    return z.reshape(shape)
+    return z.reshape(shape if single else (len(gens), *shape))
 
 
 def complex_normal_seeded(shape, seed: int, stream: int = 0) -> np.ndarray:

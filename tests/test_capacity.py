@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,13 @@ class TestWaterfill:
             waterfill([1.0, 0.0], 1.0, NoiseSpec(1.0))
         with pytest.raises(ValueError):
             waterfill([1.0], 0.0, NoiseSpec(1.0))
+
+    def test_overflowing_floor_is_an_infinite_floor_without_warnings(self):
+        # sigma^2 / 0.5 overflows: that mode lies above every finite water level and gets nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = waterfill([0.5, 2.0], 1.0, NoiseSpec(1e308))
+        assert alloc.water_level == 1e308 / 2.0 + 1.0 and alloc.levels[1] == 0.0
 
     @pytest.mark.parametrize("budget, message", [
         (float("nan"), "^power budget must be > 0$"),  # NaN failed `budget <= 0`

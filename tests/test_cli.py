@@ -130,7 +130,7 @@ class TestRunScenario:
     def test_instance_work_runs_once_per_trial(self, monkeypatch):
         # counts matrices, not calls: isac_tradeoff decomposes a block of trials in one stacked call
         calls = ("build_dictionary", "random_probes", "philox_stream", "zf_scanning_precoder", "shift_schedule")
-        counts = dict.fromkeys(("optimal_sensing_waveform", "eigh", "_probe_gains", "_clean_observations",
+        counts = dict.fromkeys(("optimal_sensing_waveform", "eigh", "_probe_gains", "synthesize_observations",
                                 "einsum") + calls, 0)
 
         def counting(namespace, name, count=lambda *args: 1):
@@ -155,14 +155,17 @@ class TestRunScenario:
         assert counts["eigh"] == 2 * 3
         for namespace in (cli, estimation):  # the CLI's own call and the public functions' calls
             counting(namespace, "_probe_gains")
-        counting(cli, "_clean_observations")
+        counting(cli, "synthesize_observations")
         counting(np, "einsum")  # one per path of each noiseless tensor built
+        counts["philox_stream"] = 0
         run_scenario(cfg(scenario="mmwave_estimation", trials=3, seed=2))
         # the block's trials share the two dictionaries, the probes and their gains, and each
         # trial's noiseless observation serves all 4 SNR points: 3 tensors, not 12
         assert counts["build_dictionary"] == 2 and counts["random_probes"] == 1
         assert counts["_probe_gains"] == 1
-        assert counts["_clean_observations"] == counts["einsum"] == 3
+        assert counts["synthesize_observations"] == counts["einsum"] == 3
+        # the 3 instance streams, and one noise-seed stream per (SNR point, trial)
+        assert counts["philox_stream"] == 3 + 4 * 3
         counts["philox_stream"] = 0
         run_scenario(cfg(scenario="capacity_sweep", trials=3, seed=2))
         assert counts["philox_stream"] == 3  # the instance streams; no point draws an aux stream
@@ -446,6 +449,27 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: power budget 1e+308") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sensing_sweep", "--noise-var", "1e308", "--power-list", "1e-300"],
+        ["capacity_sweep", "--noise-var", "1e308", "--power-list", "1e-300"],
+        ["isac_tradeoff", "--noise-var", "1e308"],
+    ], ids=["sensing", "capacity", "tradeoff"])
+    def test_overflowing_water_fill_floors_run_without_warnings(self, capsys, argv):
+        # a floor sigma^2 / lam above the largest float is +inf, as a pad: the runs printed
+        # an overflow RuntimeWarning, which under an error filter ended in a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*argv, "--trials", "1"]) == 0
+        quiet = capsys.readouterr().out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "" and captured.out == quiet
+        if argv[0] != "isac_tradeoff":  # a budget of 1e-300 over floors near 1e308 carries no bits
+            assert all(float(line.split(",")[-1]) == 0.0 for line in quiet.splitlines()[1:]
+                       if "_bits," in line)
+
     def test_huge_power_gives_finite_mi_bits_without_warnings(self, capsys):
         # the Hermitian part of I + H Q H^H / sigma^2 used to overflow in its sum m + m^H,
         # so mi_bits read nan beside a finite comm_bits
@@ -495,7 +519,7 @@ class TestMain:
         np.testing.assert_allclose(scaled[1], scaled[0], rtol=1e-9, atol=1e-12)
 
     def test_solver_convergence_error_exits_one_with_message(self, monkeypatch, capsys):
-        def stalled_trial(config, gen):
+        def stalled_trial(config, block, gens):
             raise ConvergenceError("row sweeps did not settle within 3 sweeps")
 
         record = cli._SCENARIO_TABLE["isac_tradeoff"]._replace(trial=stalled_trial)
@@ -583,6 +607,32 @@ class TestMain:
     def test_observation_dump_rejected_elsewhere(self, capsys):
         code = main(["capacity_sweep", "--obs-out", "/tmp/should_not_exist.bin"])
         assert code != 0
+
+    def test_observation_dump_is_trial_zero_at_the_first_snr(self, tmp_path, monkeypatch):
+        # the dump is trial 0's noiseless tensor plus noise of variance l / n_s / 10^(snr/10) at
+        # the first SNR, seeded from the (seed, point 0, trial 0) stream, whichever thread runs it
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return estimation.synthesize_observations(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "synthesize_observations", recording)
+        seed = int(philox_stream(7, 1_000_003).integers(1 << 32))
+        for threads in (1, 2):
+            calls.clear()
+            obs_path = tmp_path / f"obs{threads}.bin"
+            code = main(["mmwave_estimation", "--trials", str(cli.BLOCK_TRIALS + 6), "--seed", "7",
+                         "--snr-list", "20,0", "--threads", str(threads), "--obs-out", str(obs_path),
+                         "--out", str(tmp_path / "run.csv")])
+            assert code == 0 and len(calls) == cli.BLOCK_TRIALS + 6
+            if threads == 1:  # one thread draws block 0 first, and trial 0 is its first lane
+                trial_zero = calls[0]
+            # the defaults l = 1 and n_s = 2
+            expected = estimation.synthesize_observations(*trial_zero, noise_variance=1 / 2 / 10**2, seed=seed,
+                                                          stream=2)
+            estimation.write_observations(expected, tmp_path / "expected.bin")
+            assert obs_path.read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
     def test_observation_dump_same_across_thread_counts(self, tmp_path):
         dumps = []

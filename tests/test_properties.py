@@ -39,8 +39,7 @@ from isacsim import (
 from isacsim.capacity import _water_level
 from isacsim import cli
 from isacsim.cli import ScenarioConfig, run_scenario
-from isacsim.estimation import (_PRUNE_RTOL, _add_noise, _beam_search, _clean_observations, _estimate_paths,
-                                _pair_scores, _probe_gains)
+from isacsim.estimation import _PRUNE_RTOL, _add_noise, _beam_search, _estimate_paths, _pair_scores, _probe_gains
 from isacsim.rng import complex_normal, philox_stream
 from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _pareto_solver, _project_psd_trace
 
@@ -751,7 +750,7 @@ def test_split_steps_and_prepared_gains_match_the_public_calls_to_the_bit(seed, 
     probes = random_probes(m, t, seed)
     args = (dict_rx, dict_tx, paths, probes, n_sc, SPACING, DURATION, CARRIER)
     obs = synthesize_observations(*args, noise_variance=noise, seed=seed, stream=2)
-    clean = _clean_observations(*args)
+    clean = synthesize_observations(*args)
     held = clean.data.copy()
     split = _add_noise(clean, noise, seed, 2)
     assert split.data.tobytes() == obs.data.tobytes() and clean.data.tobytes() == held.tobytes()
@@ -784,7 +783,7 @@ def test_estimation_block_never_writes_its_noiseless_observations(tmp_path_facto
     built = []
 
     def recording(*args):
-        clean = _clean_observations(*args)
+        clean = synthesize_observations(*args)
         built.append((clean, clean.data.copy()))
         return clean
 
@@ -793,7 +792,7 @@ def test_estimation_block_never_writes_its_noiseless_observations(tmp_path_facto
                             snr_db_list=tuple(snrs), trials=trials, seed=seed, threads=threads,
                             obs_path=str(obs_path))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_clean_observations", recording)
+        patch.setattr(cli, "synthesize_observations", recording)
         run_scenario(config)
     assert len(built) == trials
     for clean, held in built:
