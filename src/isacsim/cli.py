@@ -212,8 +212,8 @@ def _estimation_trial(cfg: ScenarioConfig, block: range, gens):
             obs = _add_noise(clean, noise_var, seed, stream=2)
             if cfg.obs_path and pi == trial == 0:  # the dump is of the first point's first trial
                 write_observations(obs, cfg.obs_path)
-            report = _estimate_paths(obs, dict_rx, cfg.l, prepared)
-            matched = {(est.aoa_index, est.aod_index): est for est in report.paths}
+            _, estimates, _ = _estimate_paths(obs, dict_rx, cfg.l, prepared)
+            matched = {(est.aoa_index, est.aod_index): est for est in estimates}
             # a missed (AoA, AoD) pair counts as an error in every bin
             missed = doppler = delay = 0
             gain_sq = 0.0
@@ -337,9 +337,14 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         keys = sorted(rows[0].metrics)
         # one row per metric: each row reduces along its contiguous axis, in the 1-D sum's order
         table = np.array([[r.metrics[k] for r in rows] for k in keys], dtype=float)
-        for tag, stat in (("mean", np.mean), ("std", np.std)):
-            summary.append(TrialResult(cfg.scenario, scenario.param_name, point, tag,
-                                       dict(zip(keys, stat(table, axis=1).tolist()))))
+        with np.errstate(over="ignore"):  # squares above the largest float: those rows are rescaled below
+            std = np.std(table, axis=1)
+        over = np.isinf(std)  # not nan: a row holding inf or nan gives nan either way
+        if over.any():
+            scale = np.max(np.abs(table[over]), axis=1, keepdims=True)
+            std[over] = scale[:, 0] * np.std(table[over] / scale, axis=1)
+        for tag, stat in (("mean", np.mean(table, axis=1)), ("std", std)):
+            summary.append(TrialResult(cfg.scenario, scenario.param_name, point, tag, dict(zip(keys, stat.tolist()))))
     return results + summary
 
 
@@ -347,31 +352,30 @@ def emit_results(results, fmt: str, path=None) -> str:
     """Render results as CSV or JSON; write to `path` when given.
 
     CSV columns: scenario,param_name,param_value,trial,metric,value - one row
-    per metric, newline-terminated UTF-8.  JSON mirrors the same records.
+    per metric, newline-terminated UTF-8.  JSON holds the same records as
+    json.dumps(records, sort_keys=True) writes them; neither builds the records.
     """
     if not results:
         raise ValueError("no results to emit")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    records = [
-        {
-            "scenario": r.scenario,
-            "param_name": r.param_name,
-            "param_value": r.param_value,
-            "trial": r.trial,
-            "metric": metric,
-            "value": r.metrics[metric],
-        }
-        for r in results
-        for metric in sorted(r.metrics)
-    ]
     if fmt == "csv":
         lines = ["scenario,param_name,param_value,trial,metric,value"]
-        lines += [f"{rec['scenario']},{rec['param_name']},{rec['param_value']!r},"
-                  f"{rec['trial']},{rec['metric']},{rec['value']!r}" for rec in records]
+        for r in results:
+            head = f"{r.scenario},{r.param_name},{r.param_value!r},{r.trial},"
+            lines += [f"{head}{metric},{r.metrics[metric]!r}" for metric in sorted(r.metrics)]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(records, sort_keys=True) + "\n"
+        def number(value) -> str:  # json.dumps' text of a float: its repr, or NaN, Infinity, -Infinity
+            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+        quote, records = json.encoder.encode_basestring_ascii, []
+        for r in results:  # a record's keys in sorted order, as sort_keys writes them
+            tail = (f', "param_name": {quote(r.param_name)}, "param_value": {number(r.param_value)}, '
+                    f'"scenario": {quote(r.scenario)}, "trial": {quote(r.trial)}, "value": ')
+            records += [f'{{"metric": {quote(metric)}{tail}{number(r.metrics[metric])}}}'
+                        for metric in sorted(r.metrics)]
+        text = "[" + ", ".join(records) + "]\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         text = emit_results(run_scenario(cfg), args.format, cfg.out_path or None)
-    except (ValueError, OSError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not cfg.out_path:

@@ -306,10 +306,13 @@ def estimate_paths(
     """
     if order not in ("doppler_first", "delay_first"):
         raise ValueError(f"unknown stage order {order!r}")
-    return _estimate_paths(obs, dict_rx, num_paths, _probe_gains(dict_tx, probes, obs.n_symbols), order)
+    prepared = _probe_gains(dict_tx, probes, obs.n_symbols)
+    detections, estimates, ratios = _estimate_paths(obs, dict_rx, num_paths, prepared, order)
+    return EstimationReport(tuple(estimates), _residual_energy(obs, dict_rx, prepared[0], detections), ratios)
 
 
-def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "doppler_first") -> EstimationReport:
+def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "doppler_first") -> tuple:
+    """The stages alone: the beam-search detections, their PathEstimates and peak ratios."""
     t = obs.n_symbols
     detections = _beam_search(obs, dict_rx, num_paths, *prepared)
     # built after the search: a few more objects alive across it multiplied its page faults
@@ -333,15 +336,16 @@ def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "dopple
             PathEstimate(aod_index=det.aod_index, aoa_index=det.aoa_index,
                          doppler_bin=f_x, delay_bin=tau_x, gain=gain)
         )
+    return detections, estimates, ratios
+
+
+def _residual_energy(obs, dict_rx, gains, detections) -> float:
+    """Energy left in obs once every detection's reconstruction is removed."""
     residual = obs.data.copy()
     for det in detections:
-        recon = det.series[:, :, None] * prepared[0][det.aod_index][None, :, None]
+        recon = det.series[:, :, None] * gains[det.aod_index][None, :, None]
         residual = residual - recon * dict_rx.matrix[:, det.aoa_index][None, None, :]
-    return EstimationReport(
-        paths=tuple(estimates),
-        residual_energy=float(np.sum(np.abs(residual) ** 2)),
-        peak_ratios=ratios,
-    )
+    return float(np.sum(np.abs(residual) ** 2))
 
 
 # ---------------------------------------------------------------------------

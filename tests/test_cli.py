@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from isacsim import (
-    ConvergenceError, NoiseSpec, comm_capacity, optimal_sensing_waveform, sensing_capacity,
-    solve_pareto_tradeoff,
+    ArrayGeometry, ConvergenceError, GridPath, NoiseSpec, build_dictionary, comm_capacity, optimal_sensing_waveform,
+    random_probes, sensing_capacity, solve_pareto_tradeoff, synthesize_observations,
 )
 from isacsim import cli, estimation
 from isacsim.cli import ScenarioConfig, TrialResult, config_from_dict, emit_results, main, run_scenario
@@ -172,6 +172,25 @@ class TestRunScenario:
         run_scenario(cfg(scenario="beam_scan", d=4, trials=3, seed=2))
         # one precoder for the block, and each of the 4 points' rows once for its 3 trials
         assert counts["zf_scanning_precoder"] == 1 and counts["shift_schedule"] == 4
+
+    def test_estimation_block_never_builds_the_residual(self, monkeypatch):
+        # the CLI reads only the paths, so its stage path skips the residual the public call reports
+        calls = []
+        helper = estimation._residual_energy
+
+        def counting(*args):
+            calls.append(args)
+            return helper(*args)
+
+        monkeypatch.setattr(estimation, "_residual_energy", counting)
+        run_scenario(cfg(scenario="mmwave_estimation", l=2, trials=cli.BLOCK_TRIALS + 1, seed=2))
+        assert calls == []
+        # the counter sees the public call, which reports the residual
+        dict_tx, dict_rx = build_dictionary(ArrayGeometry(2), 4), build_dictionary(ArrayGeometry(3), 4)
+        probes = random_probes(2, 8, seed=1)
+        obs = synthesize_observations(dict_rx, dict_tx, [GridPath(1, 2, 3, 4, 1.0, 0.5)], probes, 16, 15e3, 1e-4, 28e9)
+        report = estimation.estimate_paths(obs, dict_tx, dict_rx, 1, probes)
+        assert len(calls) == 1 and report.residual_energy < 1e-20
 
     def test_tradeoff_endpoints(self):
         config = cfg(scenario="isac_tradeoff", m=2, k=2, t=4, trials=2, seed=5,
@@ -469,6 +488,38 @@ class TestMain:
         if argv[0] != "isac_tradeoff":  # a budget of 1e-300 over floors near 1e308 carries no bits
             assert all(float(line.split(",")[-1]) == 0.0 for line in quiet.splitlines()[1:]
                        if "_bits," in line)
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity_sweep", "--trials", "3", "--seed", "8", "--noise-var", "1e300", "--power-list", "1"],
+        ["isac_tradeoff", "--trials", "3", "--p-t", "1e200"],
+    ], ids=["capacity_water_levels", "tradeoff_large_energy"])
+    def test_std_of_values_whose_squares_overflow_is_finite_without_warnings(self, capsys, argv):
+        # trial values such as water levels near 2e299 are finite, but their squares overflow
+        # in np.std, which printed a std of inf; such a row is rescaled by its largest magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        trials, stds = {}, {}
+        for line in captured.out.splitlines()[1:]:
+            _, _, point, trial, metric, value = line.split(",")
+            if trial.isdigit():
+                trials.setdefault((point, metric), []).append(float(value))
+            elif trial == "std":
+                stds[point, metric] = float(value)
+        assert max(max(np.abs(values)) for values in trials.values()) > 1e160
+        for key, values in trials.items():
+            values = np.array(values)
+            scale = np.max(np.abs(values)) or 1.0
+            np.testing.assert_allclose(stds[key], scale * np.std(values / scale), rtol=1e-13, atol=0)
+
+    def test_tensor_too_large_to_allocate_exits_one_with_message(self, capsys):
+        # about 2.6e14 bytes, beyond the address space, so the allocation fails at once
+        code = main(["mmwave_estimation", "--n-sc", "1000000000000", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
 
     def test_huge_power_gives_finite_mi_bits_without_warnings(self, capsys):
         # the Hermitian part of I + H Q H^H / sigma^2 used to overflow in its sum m + m^H,
