@@ -75,8 +75,8 @@ class NoiseSpec:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("noise variance must be > 0")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("noise variance must be finite and > 0")
 
 
 @dataclass(frozen=True)

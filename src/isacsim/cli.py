@@ -106,9 +106,9 @@ class TrialResult:
     A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
     the block's evaluation of that point divided by the trials in the block, including
     any draw of the point's own (such as the estimation noise).  The block's instance
-    draw is not timed; it holds the work all points share, such as isac_tradeoff's
-    stacked eigh of Hc^H Hc, the estimation dictionaries, probes, probe gains and each
-    trial's noiseless observation, and the beam-scan precoder.
+    draw is not timed; it holds the work all points share, such as isac_tradeoff's stacked
+    eigh of Hc^H Hc and Hc U in its eigenbasis U, the estimation dictionaries, probes, probe
+    gains and each trial's noiseless observation, and the beam-scan precoder.
     """
 
     scenario: str
@@ -160,10 +160,11 @@ def _tradeoff_trial(cfg: ScenarioConfig, block: range, gens):
     hc, c, a = (complex_normal(gens, shape) for shape in ((cfg.k, cfg.m), (cfg.k, cfg.t), (cfg.m, cfg.m)))
     qh = a @ a.conj().swapaxes(-2, -1) / cfg.m
     xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.swapaxes(-2, -1)
-    solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
+    u, q, solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
+    hcu = hc @ u  # each rho scores its design's coordinates U^H X, never forming X
 
     def evaluate(pi, rho) -> list:
-        interference, distance = _pareto_terms(hc, c, xs, solve(rho))
+        interference, distance = _pareto_terms(hcu, c, q, solve(rho, in_basis=True))
         objective = rho * interference + (1.0 - rho) * distance
         return [{"interference_power": i, "waveform_distance": d, "objective": o}
                 for i, d, o in zip(interference.tolist(), distance.tolist(), objective.tolist())]

@@ -208,12 +208,13 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
 def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
     """Minimize tr(X^H A X) - 2 Re tr(X^H B) on ||X||_F^2 = energy: _min_in_basis in A's eigenbasis."""
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    return _min_in_basis(vals, vecs, vecs.conj().T @ np.reshape(b, (vals.size, -1)), energy, np.shape(b))
+    coords = _min_in_basis(vals, vecs.conj().T @ np.reshape(b, (vals.size, -1)), energy)
+    return _on_sphere(coords, vecs, energy, np.shape(b))
 
 
-def _min_in_basis(vals, vecs, bt, energy, shape):
-    """That minimizer for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B,
-    or for each lane of stacks vals[..., :], vecs[..., :, :] and bt[..., :, :] at once.
+def _min_in_basis(vals, bt, energy):
+    """That minimizer's coordinates vecs^H X for A = vecs diag(vals) vecs^H (vals = v ascending)
+    and bt = vecs^H B, or for each lane of stacks vals[..., :] and bt[..., :, :] at once.
 
     X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2,
     e_i the energy of row i of bt; lam > -v_0 solves psi(lam) = energy by Newton's method
@@ -226,7 +227,7 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
     modes take lam = -v_0 and the deficit is filled along u_0.  For A = 0, X lies along B.
     Every lane steps, stops and takes its case on its own, from its own arithmetic alone,
     so a lane's X does not depend on the other lanes.
-    Returns X in `shape` at norm sqrt(energy), or None when it is zero in some lane.
+    Returns the coordinates before _on_sphere puts them at norm sqrt(energy).
     """
     energies = _sq_sum(bt, 1)
     gaps = vals - vals[..., :1]
@@ -259,7 +260,13 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
         coords = bt * np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None]))[..., None]
     if hard.any():
         coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
-    x = vecs @ coords
+    return coords
+
+
+def _on_sphere(coords, vecs, energy, shape):
+    """X = vecs @ coords (coords itself for vecs None: the norm is basis-free) at norm
+    sqrt(energy) in each lane, in `shape`, or None when it is zero in some lane."""
+    x = coords if vecs is None else vecs @ coords
     norm = np.sqrt(_sq_sum(x))
     if np.any(norm == 0.0):
         return None
@@ -276,16 +283,17 @@ def _sq_sum(z, axes=2):
 
 
 def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
-    """Check a trade-off instance once; return solve(rho), its design at weight rho.
+    """Check a trade-off instance once; return (U, U^H Xs, solve), solve(rho) its design at weight rho.
 
     Every A(rho) = rho G + (1-rho) I shares the eigenvectors U of G = Hc^H Hc, with eigenvalues
     rho s + (1-rho) ascending with G's s, so one eigh and the projections serve every rho.
+    solve(rho, in_basis=True) gives U^H X instead: Hc X = (Hc U)(U^H X), ||X - Xs|| = ||U^H X - U^H Xs||.
     Stacks hc[..., :, :], c and xs are a stack of instances: one stacked eigh, and solve(rho)
     returns their designs, each computed as alone (_min_in_basis lane by lane).
     """
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
-    if total_energy <= 0:
-        raise ValueError("total energy must be > 0")
+    if not 0 < total_energy < np.inf:
+        raise ValueError("total energy must be finite and > 0")
     if hc.shape[-1] != xs.shape[-2] or c.shape[-2:] != (hc.shape[-2], xs.shape[-1]):
         raise ValueError("channel, symbols and reference waveform dimensions do not conform")
     if c.shape[-2] > hc.shape[-1]:
@@ -295,16 +303,17 @@ def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: 
     uh = u.conj().swapaxes(-2, -1)
     p, q = uh @ (hh @ c), uh @ xs
 
-    def solve(rho: float) -> np.ndarray:
+    def solve(rho: float, in_basis=False) -> np.ndarray:
         rho = _check_rho(rho)
         bt = rho * p
         bt += (1.0 - rho) * q
-        x = _min_in_basis(rho * s + (1.0 - rho), u, bt, total_energy, q.shape)
+        coords = _min_in_basis(rho * s + (1.0 - rho), bt, total_energy)
+        x = _on_sphere(coords, None if in_basis else u, total_energy, q.shape)
         if x is None:
             raise ValueError("energy target unreachable from a zero stationary solution")
         return x
 
-    return solve
+    return u, q, solve
 
 
 def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: float, total_energy: float) -> np.ndarray:
@@ -314,7 +323,7 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
     constant, with A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs,
     so the design is the sphere minimizer; this is a one-rho call of _pareto_solver.
     """
-    return _pareto_solver(hc, c, xs, total_energy)(rho)
+    return _pareto_solver(hc, c, xs, total_energy)[2](rho)
 
 
 def _pareto_terms(hc, c, xs, x):
@@ -386,8 +395,8 @@ def solve_per_antenna(
     """
     rho = _check_rho(rho)
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
-    if per_antenna_energy <= 0:
-        raise ValueError("per-antenna energy must be > 0")
+    if not 0 < per_antenna_energy < np.inf:
+        raise ValueError("per-antenna energy must be finite and > 0")
     m, t = xs.shape
     x = solve_pareto_tradeoff(hc, c, xs, rho, m * per_antenna_energy)
     root = np.sqrt(per_antenna_energy)
@@ -436,8 +445,8 @@ def solve_constant_modulus(
     """
     rho = _check_rho(rho)
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
-    if modulus <= 0:
-        raise ValueError("modulus must be > 0")
+    if not 0 < modulus < np.inf:
+        raise ValueError("modulus must be finite and > 0")
     starts = [xs]
     if rho > 0:
         starts.append(solve_pareto_tradeoff(hc, c, xs, rho, modulus**2 * xs.size))

@@ -4,6 +4,7 @@ import pytest
 from isacsim import (
     ArrayGeometry,
     MmWaveChannelSpec,
+    NoiseSpec,
     PathParameters,
     build_dictionary,
     load_channel_spec,
@@ -229,3 +230,11 @@ def test_path_coefficient_is_time_separable():
     c2 = path_coefficient(path, 2, 1e9, 1e-4)
     step = np.exp(2j * np.pi * 300.0 * 1e-4)
     np.testing.assert_allclose(c2, c1 * step, atol=1e-12)
+
+
+@pytest.mark.parametrize("variance", [np.nan, np.inf, -np.inf])
+def test_noise_spec_rejects_a_non_finite_variance(variance):
+    # NaN and inf both pass a check of the form variance <= 0; the capacities then failed
+    # with a misleading "infinite water-filled rate"
+    with pytest.raises(ValueError, match="^noise variance must be finite and > 0$"):
+        NoiseSpec(variance)

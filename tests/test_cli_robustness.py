@@ -1,0 +1,73 @@
+"""Robustness property of the `isac_tradeoff` command line, driven in-process.
+
+Over small random configs, with block energies and noise variances across the
+float range, every run either exits 0 printing only finite values and no
+RuntimeWarning, or exits 1 with one `error:` line.  p_t stops at 1e250: at 1e300
+the sphere solve's secular sums overflow, which the strict xfail
+tests/test_cli.py::TestMain::test_tradeoff_metrics_scale_with_a_huge_block_energy[1e+300]
+pins.  At tiny energies the run exits 1 where it should not; the strict xfail below
+pins that.
+"""
+
+import contextlib
+import io
+import math
+import re
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isacsim.cli import main
+
+TINY = 5e-324  # the smallest subnormal double
+
+
+def log_uniform(hi):
+    """Numbers from TINY to `hi`, both ends included, uniform in the exponent over the whole
+    range or over [1e-6, 1e6], so that runs which exit 0 are drawn often too."""
+    exponents = st.floats(math.log10(TINY), math.log10(hi)) | st.floats(-6.0, 6.0)
+    return st.sampled_from([TINY, hi]) | exponents.map(lambda e: min(max(10.0**e, TINY), hi))
+
+
+@st.composite
+def tradeoff_argv(draw):
+    m = draw(st.integers(1, 6))
+    k, t = draw(st.integers(1, m)), draw(st.integers(m, m + 4))
+    rhos = [0.0, *draw(st.lists(st.floats(0.0, 1.0), max_size=2)), 1.0]
+    return ["isac_tradeoff", "--m", str(m), "--k", str(k), "--t", str(t),
+            "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 2**16))),
+            "--p-t", repr(draw(log_uniform(1e250))), "--noise-var", repr(draw(log_uniform(1e300))),
+            "--rho-list", ",".join(map(repr, rhos))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tradeoff_argv())
+@example(["isac_tradeoff", "--p-t", "1e-250", "--trials", "1"])  # the tiny-energy refusal
+@example(["isac_tradeoff", "--m", "6", "--k", "1", "--t", "12", "--p-t", "1e250", "--noise-var", "5e-324",
+          "--rho-list", "0,0.01,0.99,1", "--trials", "3"])
+def test_tradeoff_run_prints_finite_values_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+        return
+    assert code == 0 and err.getvalue() == ""
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    header, *rows = out.getvalue().splitlines()
+    assert header == "scenario,param_name,param_value,trial,metric,value"
+    assert rows and all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the secular slope underflows to 0, so the Newton step is inf, every design collapses to zero "
+    "and the run exits 1 with 'energy target unreachable'"))
+def test_tradeoff_at_a_tiny_block_energy_runs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["isac_tradeoff", "--p-t", "1e-250", "--trials", "1"]) == 0

@@ -320,6 +320,12 @@ class TestParetoTradeoff:
         with pytest.raises(ValueError):
             solve_pareto_tradeoff(self.hc, self.c, random_channel(2, 3, 96), 0.5, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_energy(self, value):
+        # NaN and inf both pass a check of the form energy <= 0, and gave a non-finite design
+        with pytest.raises(ValueError, match="^total energy must be finite and > 0$"):
+            solve_pareto_tradeoff(self.hc, self.c, random_channel(2, 3, 96), 0.5, value)
+
     def test_rejects_more_streams_than_antennas(self):
         hc = random_channel(3, 2, 97)
         c = random_channel(3, 4, 98)
@@ -335,6 +341,12 @@ class TestPerAntenna:
         self.hc = random_channel(2, 2, 400)
         self.c = random_channel(2, 3, 401)
         self.row_energy = 1.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_row_energy(self, value):
+        # refused at once, not after every sweep as a ConvergenceError
+        with pytest.raises(ValueError, match="^per-antenna energy must be finite and > 0$"):
+            solve_per_antenna(self.hc, self.c, random_channel(2, 3, 402), 0.6, value)
 
     def test_row_norms_locked(self):
         xs = random_channel(2, 3, 402)
@@ -417,6 +429,12 @@ class TestConstantModulus:
         self.hc = random_channel(2, 2, 600)
         self.c = random_channel(2, 2, 601)
         self.modulus = 0.9
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_modulus(self, value):
+        # refused at once, not after every sweep as a ConvergenceError
+        with pytest.raises(ValueError, match="^modulus must be finite and > 0$"):
+            solve_constant_modulus(self.hc, self.c, random_channel(2, 2, 602), 0.7, value)
 
     def test_entry_magnitudes_exact(self):
         xs = random_channel(2, 2, 602)
