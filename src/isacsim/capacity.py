@@ -8,6 +8,7 @@ from .channel import NoiseSpec
 
 _RANK_RTOL = 1e-12  # eigenvalues below this fraction of the largest count as zero
 _PSD_TOL = 1e-10  # require_psd's Hermitian and eigenvalue tolerance, relative to max(1, max |q_ij|)
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def _logdet_bits(m: np.ndarray):
     """log2 det of the Hermitian part of m, or of each matrix of a stack, as NumPy values."""
     half = m / 2  # halved before the sum, which then cannot overflow; exact in the normal range
     _, logdet = np.linalg.slogdet(half + half.conj().swapaxes(-2, -1))
-    return logdet / np.log(2.0)
+    return logdet / _LN2
 
 
 def _comm_mi_bits(h: np.ndarray, q: np.ndarray, noise: NoiseSpec):
@@ -120,19 +121,25 @@ def _water_level(floors: np.ndarray, budget: float) -> np.ndarray:
 def _fill(lam: np.ndarray, budget: float, noise: NoiseSpec):
     """Water-fill `budget` over each lane of a (..., n) stack of descending gains lam, 0 past a lane's
     rank: beta_g = (w - sigma^2/lam_g)^+ at w = _water_level(sigma^2/lam).  Returns the
-    PowerAllocation and each lane's rate sum_g log2(1 + lam_g beta_g / sigma^2)."""
+    PowerAllocation and each lane's rate sum_g log2(1 + lam_g beta_g / sigma^2), which may
+    overflow to inf from finite levels: a caller that uses it refuses that (_require_finite_rate)."""
     if not budget > 0:  # NaN too
         raise ValueError("power budget must be > 0")
     with np.errstate(over="ignore"):  # a floor that overflows lies above every finite level: +inf, as a pad
         floors = np.divide(noise.variance, lam, out=np.full(lam.shape, np.inf), where=lam > 0)
     w = _water_level(floors, budget)
     levels = np.maximum(np.subtract(w[..., None], floors, out=np.zeros(lam.shape), where=lam > 0), 0.0)
-    with np.errstate(over="ignore"):  # an infinite rate is refused below
+    _require_finite_rate(levels, budget)  # an infinite level gives an infinite rate
+    with np.errstate(over="ignore"):  # the callers that use the rate refuse it when infinite
         rate = np.sum(np.log2(1.0 + lam * levels / noise.variance), axis=-1)
-    if not np.all(np.isfinite(rate)):
-        raise ValueError(f"power budget {budget!r} gives an infinite water-filled rate")
     w, rate = (w, rate) if lam.ndim > 1 else (float(w), float(rate))  # one lane's are Python floats
     return PowerAllocation(levels, w, float(budget), lam), rate
+
+
+def _require_finite_rate(values, budget):
+    """Refuse a water-fill whose rates, or the levels they are taken from, are not all finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"power budget {budget!r} gives an infinite water-filled rate")
 
 
 def waterfill(eigenvalues, budget: float, noise: NoiseSpec) -> PowerAllocation:
@@ -156,4 +163,5 @@ def comm_capacity(h: np.ndarray, budget: float, noise: NoiseSpec) -> CapacityRes
     _, s, vh = np.linalg.svd(h, full_matrices=False)
     lam, v = _rank_cut(s**2, vh.conj().swapaxes(-2, -1))
     alloc, bits = _fill(lam, budget, noise)
+    _require_finite_rate(bits, budget)
     return CapacityResult(bits_per_symbol=bits, covariance=_from_eigs(v, alloc.levels), allocation=alloc)

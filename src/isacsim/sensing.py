@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PowerAllocation, _fill, _logdet_bits, _psd_eigs, _psd_factor
+from .capacity import PowerAllocation, _fill, _logdet_bits, _psd_eigs, _psd_factor, _require_finite_rate
 from .channel import NoiseSpec
 
 
@@ -78,8 +78,14 @@ def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: flo
 def sensing_capacity(qh: np.ndarray, rx_count: int, t: int, power_per_transmission: float, noise: NoiseSpec) -> EstimationRateResult:
     """Maximum estimation rate (N/T) sum log2(1 + lam_g beta_g / sigma^2), for one Q_h or each
     of an L x M x M stack: 0 for a zero Q_h, which alone has no allocation."""
-    vals, _ = _probing_modes(qh, t)
+    return _modes_capacity(_probing_modes(qh, t)[0], rx_count, t, power_per_transmission, noise)
+
+
+def _modes_capacity(vals, rx_count, t, power_per_transmission, noise) -> EstimationRateResult:
+    """sensing_capacity from the nonzero eigenvalues `vals` that _probing_modes gives for Q_h."""
     if vals.shape == (0,):
         return EstimationRateResult(bits_per_transmission=0.0, allocation=None)
-    alloc, rate = _fill(vals, t * power_per_transmission, noise)
+    budget = t * power_per_transmission
+    alloc, rate = _fill(vals, budget, noise)
+    _require_finite_rate(rate, budget)
     return EstimationRateResult(bits_per_transmission=rx_count / t * rate, allocation=alloc)

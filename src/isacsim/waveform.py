@@ -6,15 +6,12 @@ the Pareto trade-off under a total-energy constraint, and its per-antenna
 and constant-modulus variants.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .capacity import _comm_mi_bits, _from_eigs, _psd_factor, _water_level, comm_capacity, require_psd
+from .capacity import _LN2, _from_eigs, _logdet_bits, _psd_factor, _water_level, comm_capacity, require_psd
 from .channel import NoiseSpec
-from .sensing import _sensing_mi_bits, sensing_capacity
+from .sensing import _modes_capacity, _probing_modes
 
-_LN2 = np.log(2.0)
 _RUNGS = 2  # line-search steps projected and scored together in each round of optimize_weighted_mi
 
 
@@ -44,13 +41,47 @@ def interference_power(xc: np.ndarray, hc: np.ndarray, c: np.ndarray) -> float:
 
 
 def _weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm) -> float:
-    """Unchecked weighted objective; `f` is the covariance factor, Q_h = F F^H."""
-    value = 0.0
+    """Unchecked weighted objective of a covariance, or of each of a stack (_weighted_mi_terms)."""
+    return _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm)[0](q)[0]
+
+
+def _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm):
+    """(objective, gradient) of the unchecked weighted objective, f the covariance factor (Q_h = F F^H),
+    with the identities and conjugate transposes built once.  objective(q) -> (value, comm) for a
+    covariance or a stack, comm = I + Hc Q Hc^H / sigma^2 (None at rho = 0); gradient(q, comm)."""
+    m = hc.shape[1]
+    hh, eye_c = hc.conj().T, np.eye(hc.shape[0])
     if rho > 0:
-        value += rho / comm_norm * _comm_mi_bits(hc, q, noise)
+        comm_w = rho / (comm_norm * _LN2 * noise.variance)
     if rho < 1:
-        value += (1.0 - rho) / sens_norm * _sensing_mi_bits(f, t * q, noise, n_s, t)
-    return value
+        fh, eye_s = f.conj().T, np.eye(f.shape[1])
+        sens_w = (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance)
+
+    def objective(q):
+        value, comm = 0.0, None
+        if rho > 0:
+            comm = eye_c + hc @ q @ hh / noise.variance
+            value += rho / comm_norm * _logdet_bits(comm)
+        if rho < 1:  # (N/T) log2 det(I + F^H (T Q) F / sigma^2), the sensing MI at X^H X = T Q
+            value += (1.0 - rho) / sens_norm * (n_s / t * _logdet_bits(eye_s + fh @ (t * q) @ f / noise.variance))
+        return value, comm
+
+    def gradient(q, comm):
+        g = np.zeros((m, m), dtype=complex)
+        if rho > 0:
+            g += comm_w * (hh @ np.linalg.inv(comm) @ hc)
+        if rho < 1:  # t (F^H Q F), not F^H (t Q) F as in the objective: the two round differently
+            g += sens_w * (f @ np.linalg.inv(eye_s + t * (fh @ q @ f) / noise.variance) @ fh)
+        return (g + g.conj().T) / 2
+
+    return objective, gradient
+
+
+def _check_normalizers(rho, comm_norm, sens_norm):
+    if rho > 0 and comm_norm <= 0:
+        raise ValueError("communication normalizer must be > 0")
+    if rho < 1 and sens_norm <= 0:
+        raise ValueError("sensing normalizer must be > 0")
 
 
 def weighted_mi_objective(
@@ -74,10 +105,7 @@ def weighted_mi_objective(
     rho = _check_rho(rho)
     q = np.asarray(q, dtype=complex)
     require_psd(q, "transmit covariance")
-    if rho > 0 and comm_norm <= 0:
-        raise ValueError("communication normalizer must be > 0")
-    if rho < 1 and sens_norm <= 0:
-        raise ValueError("sensing normalizer must be > 0")
+    _check_normalizers(rho, comm_norm, sens_norm)
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
     return float(_weighted_mi(q, np.asarray(hc, dtype=complex), f, rho, noise, t, n_s,
                               comm_norm, sens_norm))
@@ -116,7 +144,9 @@ def optimize_weighted_mi(
     so the iterates are those of a one-step-at-a-time search to the bit.
 
     Returns (covariance, objective_value, normalizers) where normalizers is
-    the (comm, sensing) capacity pair used for scaling.
+    the (comm, sensing) capacity pair used for scaling.  Q_h is checked and
+    decomposed once, for both the sensing normalizer and the factor F, and each
+    gradient inverts the I + Hc Q Hc^H / sigma^2 that scored its iterate.
     """
     rho = _check_rho(rho)
     hc = np.asarray(hc, dtype=complex)
@@ -125,52 +155,43 @@ def optimize_weighted_mi(
         raise ValueError("power budget must be > 0")
     m = hc.shape[1]
     comm_norm = comm_capacity(hc, budget, noise).bits_per_symbol if rho > 0 else 1.0
-    sens_norm = (
-        sensing_capacity(qh, n_s, t, budget, noise).bits_per_transmission if rho < 1 else 1.0
-    )
-    f = _psd_factor(qh, "channel covariance") if rho < 1 else None
+    sens_norm, f = 1.0, None
+    if rho < 1:
+        vals, vecs = _probing_modes(qh, t)
+        sens_norm = _modes_capacity(vals, n_s, t, budget, noise).bits_per_transmission
+        f = vecs * np.sqrt(vals)  # _psd_factor's F from the same eigenpairs
+    _check_normalizers(rho, comm_norm, sens_norm)
+    terms, gradient = _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm)
 
-    def objective(qs):  # one Python float per lane of the stack qs
-        return _weighted_mi(qs, hc, f, rho, noise, t, n_s, comm_norm, sens_norm).tolist()
-
-    hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
-    eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)
-    comm_w = rho / (comm_norm * _LN2 * noise.variance)
-    sens_w = (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance)
-
-    def gradient(q):
-        g = np.zeros((m, m), dtype=complex)
-        if rho > 0:
-            g += comm_w * (hh @ np.linalg.inv(eye_c + hc @ q @ hh / noise.variance) @ hc)
-        if rho < 1:
-            g += sens_w * (f @ np.linalg.inv(eye_s + t * (fh @ q @ f) / noise.variance) @ fh)
-        return (g + g.conj().T) / 2
+    def objective(qs):  # one Python float per lane of the stack qs, and the lanes' comm matrices
+        values, comms = terms(qs)
+        return values.tolist(), (comms if rho > 0 else [None] * len(qs))
 
     def project(s, unit=False):  # the projections of q + r g for r = s, s/2, ... (after r = 1 if unit)
         rungs = np.array([1.0] * unit + [s * 0.5**k for k in range(_RUNGS)])[:, None, None]
         return _project_psd_trace(np.where(rungs == 1.0, q + g, q + rungs * g), budget)  # 1.0 * g may flip a -0.0
 
-    def search(s, cands):  # (r, projection, objective) for r = s, s/2, s/4, ..., a stacked round at a time
+    def search(s, cands):  # (r, projection, objective, comm matrix) for r = s, s/2, s/4, ..., a stacked round at a time
         while True:
-            yield from zip([s * 0.5**k for k in range(_RUNGS)], cands, objective(cands))
+            yield from zip([s * 0.5**k for k in range(_RUNGS)], cands, *objective(cands))
             s *= 0.5**_RUNGS
             cands = project(s)
 
     q = budget / m * np.eye(m, dtype=complex)
-    obj = objective(q[None])[0]
+    (obj,), (comm,) = objective(q[None])
     step = 1.0
     gap = np.inf
     for _ in range(max_iter):
-        g = gradient(q)
+        g = gradient(q, comm)
         cands = project(step, unit=step != 1.0)  # lane 0 is the unit step, the first rung itself at step 1
-        gap = float(np.linalg.norm(cands[0] - q, "fro"))
+        gap = float(_norm(cands[0] - q))
         if gap < grad_tol:
             return q, obj, (comm_norm, sens_norm)
-        for s, cand, cand_obj in search(step, cands[int(step != 1.0):]):
+        for s, cand, cand_obj, cand_comm in search(step, cands[int(step != 1.0):]):
             if s < 1e-18:  # no step passed; step never starts below 1e-18
                 break
-            if cand_obj >= obj + 1e-4 * float(np.real(np.vdot(g, cand - q))) and cand_obj > obj:
-                q, obj = cand, cand_obj
+            if cand_obj >= obj + 1e-4 * float(np.vdot(g, cand - q).real) and cand_obj > obj:
+                q, obj, comm = cand, cand_obj, cand_comm
                 break
         step = min(s * 2.0, 1e6)
     raise ConvergenceError(
@@ -245,7 +266,8 @@ def _min_in_basis(vals, bt, energy):
     hard = ~flat & (psi < energy)
     active = ~flat & ~hard
     # the Newton step -phi/phi' is psi (sqrt(psi/energy) - 1) / slope; the cap is a backstop
-    with np.errstate(divide="ignore", invalid="ignore"):  # stopped lanes and closed modes may divide by 0
+    # stopped lanes and closed modes may divide by 0, and a slope that underflows sends the step to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(100):
             # np.sqrt, as ** 0.5 would take pow for one lane's scalar and sqrt for a stack
             moved = offset + psi * (np.sqrt(psi / energy) - 1.0) / slope
@@ -280,6 +302,14 @@ def _sq_sum(z, axes=2):
     v = np.ascontiguousarray(z).view(np.float64)
     v = v.reshape(v.shape[:v.ndim - axes] + (-1,))
     return np.einsum("...i,...i->...", v, v)
+
+
+def _norm(z):
+    """np.linalg.norm(z) of a complex array (Frobenius for a matrix) by its own arithmetic,
+    without its dispatch: the root of the dot products of the raveled real and imaginary parts."""
+    z = z.ravel(order="K")
+    re, im = z.real, z.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
 
 
 def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
@@ -349,20 +379,27 @@ def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):
     alone, to the bit.  Returns (x, objective, converged, last improvement), per lane.
     """
     # row i's column as 1 x k x 1, the lanes' ndim: NumPy rounds a one-entry product of
-    # operands of unequal ndim in another loop than np.outer's, which breaks the bits
-    cols = np.ascontiguousarray(hc.T)[:, None, :, None]
-    rows_h, pull = np.ascontiguousarray(hc.conj().T), (1.0 - rho) * xs
+    # operands of unequal ndim in another loop than np.outer's, which breaks the bits.
+    # Each row's column, conjugate row and pull are taken once, and rho as a complex
+    # 0-d array: the same complex product as from the Python float, with less dispatch
+    per_row = list(enumerate(zip(np.ascontiguousarray(hc.T)[:, None, :, None],
+                                 np.ascontiguousarray(hc.conj().T), (1.0 - rho) * xs)))
+    weight = np.asarray(rho, dtype=complex)
     lanes, cur = np.empty_like(x), x.copy()
     obj = _pareto_objective(hc, c, xs, rho, cur)
     change, converged = np.full(obj.shape, np.inf), np.zeros(obj.shape, dtype=bool)
     live, resid = np.arange(len(x)), c - hc @ cur
     for _ in range(max_sweeps):
         previous = obj[live]
-        for i in range(cur.shape[1]):
+        for i, (col, row_h, pull) in per_row:
             row = cur[:, i]
-            partial = resid + cols[i] * row[:, None]
-            new_row = project(rho * (rows_h[i] @ partial) + pull[i], row)
-            resid -= cols[i] * (new_row - row)[:, None]
+            # resid + col row and rho (row_h partial) + pull, in place in that operand order
+            partial = col * row[:, None]
+            np.add(resid, partial, out=partial)
+            direction = row_h @ partial
+            np.multiply(weight, direction, out=direction)
+            new_row = project(np.add(direction, pull, out=direction), row)
+            resid -= col * (new_row - row)[:, None]
             cur[:, i] = new_row
         now = _pareto_objective(hc, c, xs, rho, cur)
         obj[live], change[live] = now, previous - now
@@ -401,16 +438,16 @@ def solve_per_antenna(
     x = solve_pareto_tradeoff(hc, c, xs, rho, m * per_antenna_energy)
     root = np.sqrt(per_antenna_energy)
     for i in range(m):
-        norm = np.linalg.norm(x[i])
+        norm = _norm(x[i])
         if norm > 1e-300:
             x[i] *= root / norm
-        elif np.linalg.norm(xs[i]) > 0:
-            x[i] = root * xs[i] / np.linalg.norm(xs[i])
+        elif _norm(xs[i]) > 0:
+            x[i] = root * xs[i] / _norm(xs[i])
         else:
             x[i] = np.full(t, root / np.sqrt(t), dtype=complex)
 
     def row_sphere(direction, row):  # one lane, so the 1 x t direction's norm is the row's
-        norm = np.linalg.norm(direction)
+        norm = _norm(direction)
         return root * direction / norm if norm > 1e-300 else row
 
     x, _, converged, change = _cyclic_rows(
@@ -452,9 +489,11 @@ def solve_constant_modulus(
         starts.append(solve_pareto_tradeoff(hc, c, xs, rho, modulus**2 * xs.size))
         starts.append(rho * (hc.conj().T @ c) + (1.0 - rho) * xs)
 
+    scale = np.asarray(modulus, dtype=complex)  # as weight in _cyclic_rows
+
     def unit_modulus(direction, row):
         mag = np.abs(direction)
-        return np.divide(modulus * direction, mag, out=row.copy(), where=mag > 1e-300)
+        return np.divide(np.multiply(scale, direction, out=direction), mag, out=row.copy(), where=mag > 1e-300)
 
     x, obj, converged, change = _cyclic_rows(
         hc, c, xs, rho, modulus * np.exp(1j * np.angle(np.stack(starts))), unit_modulus, max_sweeps,
