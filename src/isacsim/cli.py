@@ -21,8 +21,8 @@ import numpy as np
 
 from .capacity import _comm_mi_bits, comm_capacity
 from .channel import ArrayGeometry, NoiseSpec, build_dictionary
-from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, random_probes, synthesize_observations,
-                         write_observations)
+from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, _scratch, random_probes,
+                         synthesize_observations, write_observations)
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
@@ -108,7 +108,10 @@ class TrialResult:
     any draw of the point's own (such as the estimation noise).  The block's instance
     draw is not timed; it holds the work all points share, such as isac_tradeoff's stacked
     eigh of Hc^H Hc and Hc U in its eigenbasis U, the estimation dictionaries, probes, probe
-    gains and each trial's noiseless observation, and the beam-scan precoder.
+    gains and each trial's noiseless observation, and the beam-scan precoder.  It also holds
+    the estimation scratch (estimation._scratch): every trial at every point draws its noise
+    into it, writes its noisy observation there and searches in it, so a point allocates no
+    noise, residual or projection arrays of its own.
     """
 
     scenario: str
@@ -186,6 +189,7 @@ def _estimation_trial(cfg: ScenarioConfig, block: range, gens):
     dict_rx = build_dictionary(ArrayGeometry(cfg.n_s), cfg.d)
     probes = random_probes(cfg.m, cfg.t, cfg.seed, stream=1)
     prepared = _probe_gains(dict_tx, probes, cfg.t)
+    scratch = _scratch((cfg.n_sc, cfg.t, cfg.n_s), cfg.d)  # every trial's noise and search at every point
     lanes = []
     for gen in gens:
         # distinct grid cells on both sides keep the paths resolvable
@@ -210,10 +214,10 @@ def _estimation_trial(cfg: ScenarioConfig, block: range, gens):
         for trial, (paths, clean) in zip(block, lanes):
             # the (seed, point, trial) stream seeds this lane's noise at this point
             seed = int(philox_stream(cfg.seed, (pi + 1) * 1_000_003 + trial).integers(1 << 32))
-            obs = _add_noise(clean, noise_var, seed, stream=2)
+            obs = _add_noise(clean, noise_var, seed, 2, scratch)
             if cfg.obs_path and pi == trial == 0:  # the dump is of the first point's first trial
                 write_observations(obs, cfg.obs_path)
-            _, estimates, _ = _estimate_paths(obs, dict_rx, cfg.l, prepared)
+            _, estimates, _ = _estimate_paths(obs, dict_rx, cfg.l, prepared, scratch=scratch)
             matched = {(est.aoa_index, est.aod_index): est for est in estimates}
             # a missed (AoA, AoD) pair counts as an error in every bin
             missed = doppler = delay = 0

@@ -16,6 +16,7 @@ puts them: Doppler uses the forward FFT (entries carry exp(+2j pi t f_x / T)),
 delay uses the inverse FFT (entries carry exp(-2j pi n tau_x / N_sc)).
 """
 
+import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SteeringDictionary
-from .rng import complex_normal_seeded
+from .rng import _box_muller, complex_normal_seeded, philox_stream
 
 _MAGIC = b"ISACOBS1"
 # relative widening of the beam-search pruning bound; see beam_search_angles
@@ -135,12 +136,36 @@ def synthesize_observations(
                       noise_variance, seed, stream)
 
 
-def _add_noise(clean: ObservationTensor, noise_variance: float, seed: int, stream: int) -> ObservationTensor:
-    """clean plus noise of the given variance in a new array; clean itself without noise."""
+# Buffers an estimation reuses: the noise draw's uniforms (2, N T n_rx) and the noisy
+# observation (N, T, n_rx) for _add_noise, the beam search's residual (N, T, n_rx) and its
+# projection y @ A_rx* (N, T, D_rx).  Every field is written before it is read.
+_Scratch = namedtuple("_Scratch", "uniforms noisy residual projection")
+
+
+def _scratch(shape, d_rx: int) -> _Scratch:
+    """Scratch for (N, T, n_rx) observations and D_rx receive atoms, as views of one array: a
+    block of trials holds one, so it makes one large allocation where each point made several
+    (which the allocator could hand back to the system and fault back in at the next point)."""
+    n, t, n_rx = shape
+    cells = math.prod(shape)
+    flat = np.empty(3 * cells + n * t * d_rx, dtype=complex)
+    return _Scratch(flat[:cells].view(float).reshape(2, cells), flat[cells:2 * cells].reshape(shape),
+                    flat[2 * cells:3 * cells].reshape(shape), flat[3 * cells:].reshape(n, t, d_rx))
+
+
+def _add_noise(clean: ObservationTensor, noise_variance: float, seed: int, stream: int,
+               scratch=None) -> ObservationTensor:
+    """clean plus noise of the given variance, as a tensor over scratch.noisy (a new array
+    when scratch is None); clean itself without noise.  The (seed, stream) stream fills the
+    uniforms as complex_normal_seeded would, and rng's Box-Muller writes the noise in place."""
     if not noise_variance > 0:
         return clean
-    noise = np.sqrt(noise_variance) * complex_normal_seeded(clean.data.shape, seed, stream)
-    return replace(clean, data=clean.data + noise)
+    uniforms, noisy = scratch[:2] if scratch else (np.empty((2, clean.data.size)), np.empty_like(clean.data))
+    philox_stream(seed, stream).random(out=uniforms)
+    _box_muller(uniforms, noisy.reshape(-1))
+    noisy *= np.sqrt(noise_variance)
+    noisy += clean.data
+    return replace(clean, data=noisy)
 
 
 def _pair_scores(z: np.ndarray, gains: np.ndarray, gain_energy: np.ndarray, p, q) -> np.ndarray:
@@ -203,16 +228,25 @@ def _probe_gains(dict_tx: SteeringDictionary, probes: np.ndarray, t: int) -> tup
     return gains, abs_gains, np.sum(abs_gains ** 2, axis=1)
 
 
-def _beam_search(obs, dict_rx, num_paths: int, gains, abs_gains, gain_energy) -> list:
+def _beam_search(obs, dict_rx, num_paths: int, gains, abs_gains, gain_energy, scratch=None) -> list:
+    """The search on prepared probe gains, in scratch's residual and projection (new arrays
+    when scratch is None)."""
     if num_paths == 0:
         return []
-    y = obs.data.copy()
-    if not np.any(y):
+    if not np.any(obs.data):
         raise ValueError("observations are all zero")
+    n, t, n_rx = obs.data.shape
+    y, z = scratch[2:] if scratch else (np.empty_like(obs.data), np.empty((n, t, dict_rx.size), dtype=complex))
+    np.copyto(y, obs.data)
+    # y is the residual, deflated in place.  A round's projection y @ A_rx* is one GEMM over
+    # the (N T, n_rx) rows, the same to the bit as a product per subcarrier, except at T = 1,
+    # where NumPy takes each subcarrier's product as a matrix-vector one
+    rows, projected = (y.reshape(n * t, n_rx), z.reshape(n * t, dict_rx.size)) if t > 1 else (y, z)
+    conj = dict_rx.matrix.conj()
     detections = []
     chosen = set()
     for _ in range(num_paths):
-        z = y @ dict_rx.matrix.conj()  # (N, T, D_rx)
+        np.matmul(rows, conj, out=projected)
         bound = np.sum((np.abs(z).transpose(0, 2, 1) @ abs_gains.T) ** 2, axis=0) / gain_energy
         reach = bound.ravel() * (1.0 + _PRUNE_RTOL)
         order = np.argsort(-reach, kind="stable")
@@ -229,7 +263,7 @@ def _beam_search(obs, dict_rx, num_paths: int, gains, abs_gains, gain_energy) ->
         chosen.add((p, q))
         detections.append(BeamDetection(aod_index=q, aoa_index=p, series=z[:, :, p] / gains[q][None, :]))
         if len(detections) < num_paths:  # the last round's deflation would go unused
-            y = y - (z[:, :, p])[:, :, None] * dict_rx.matrix[:, p][None, None, :]
+            y -= z[:, :, p][:, :, None] * dict_rx.matrix[:, p][None, None, :]
     return detections
 
 
@@ -284,8 +318,8 @@ def _ratio(mags: np.ndarray) -> float:
     return float(top[0] / top[1])
 
 
-# a stage of estimate_paths: the series axis it transforms, its transform and the divisor
-# of what it yields (the first stage's picked vector, the second stage's peak)
+# a stage of estimate_paths: the axis of the (paths, N, T) series stack it transforms, its
+# transform and the divisor of what it yields (the first stage's picked vectors, the second's peaks)
 _Stage = namedtuple("_Stage", "axis transform divisor")
 
 
@@ -311,22 +345,33 @@ def estimate_paths(
     return EstimationReport(tuple(estimates), _residual_energy(obs, dict_rx, prepared[0], detections), ratios)
 
 
-def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "doppler_first") -> tuple:
-    """The stages alone: the beam-search detections, their PathEstimates and peak ratios."""
+def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "doppler_first",
+                    scratch=None) -> tuple:
+    """The stages alone: the beam-search detections (searched in scratch), their PathEstimates
+    and peak ratios.
+
+    Each stage runs once over the (paths, N, T) stack of detection series: one transform,
+    one aggregate and one argmax, lane by lane, so every pick is the one-path pipeline's.
+    """
     t = obs.n_symbols
-    detections = _beam_search(obs, dict_rx, num_paths, *prepared)
-    # built after the search: a few more objects alive across it multiplied its page faults
-    delay, doppler = _Stage(0, np.fft.ifft, 1), _Stage(1, np.fft.fft, t)
+    detections = _beam_search(obs, dict_rx, num_paths, *prepared, scratch)
+    if not detections:
+        return detections, [], np.zeros((0, 2))
+    # the second stage transforms the picked vectors along their last axis
+    delay, doppler = _Stage(1, np.fft.ifft, 1), _Stage(2, np.fft.fft, t)
     first, second = (doppler, delay) if order == "doppler_first" else (delay, doppler)
+    spectra = first.transform(np.stack([det.series for det in detections]), axis=first.axis)
+    agg = np.sqrt(np.sum(np.abs(spectra) ** 2, axis=second.axis))  # (paths, bins of the first stage)
+    picked = np.argmax(agg, axis=1)
+    lanes = np.arange(len(detections))
+    spectrum = second.transform(spectra.swapaxes(1, first.axis)[lanes, picked] / first.divisor)
+    mags = np.abs(spectrum)
+    peaks = np.argmax(mags, axis=1)
     estimates = []
     ratios = np.zeros((len(detections), 2))
     for i, det in enumerate(detections):
-        spectra = first.transform(det.series, axis=first.axis)
-        agg = np.sqrt(np.sum(np.abs(spectra) ** 2, axis=second.axis))
-        picked = int(np.argmax(agg))
-        spectrum = second.transform(spectra.swapaxes(0, first.axis)[picked] / first.divisor)
-        peak, amplitude = _peak(spectrum, second.divisor)
-        picks = ((picked, _ratio(agg)), (peak, _ratio(np.abs(spectrum))))
+        amplitude = complex(spectrum[i, peaks[i]] / second.divisor)
+        picks = ((int(picked[i]), _ratio(agg[i])), (int(peaks[i]), _ratio(mags[i])))
         (f_x, doppler_ratio), (tau_x, delay_ratio) = picks if first is doppler else picks[::-1]
         ratios[i] = (doppler_ratio, delay_ratio)
         doppler_correction = np.exp(2j * np.pi * f_x / t)
@@ -374,7 +419,7 @@ def read_observations(path) -> ObservationTensor:
         shape = struct.unpack("<III", header[:12])
         spacing, duration, carrier = struct.unpack("<ddd", header[12:])
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    expected = int(np.prod(shape)) * 2
+    expected = math.prod(shape) * 2  # Python ints: a header of large dims must not wrap
     if raw.size != expected:
         raise ValueError(f"truncated observation file: expected {expected} scalars, found {raw.size}")
     data = raw.view("<c16").astype(complex).reshape(shape)  # keeps signed zeros and infinities

@@ -19,11 +19,10 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
 def complex_normal(gen, shape) -> np.ndarray:
     """Draw circularly-symmetric complex Gaussian samples, unit total variance.
 
-    Box-Muller on uniform draws: the cosine branch feeds the real component and
-    the sine branch the imaginary one, each with variance 1/2.  Given a sequence of
-    generators, it draws `shape` from each in turn and transforms the draws in one
-    pass, returning them stacked as (len(gen), *shape); the transform acts element
-    by element, so each lane holds its generator's own draw.
+    Box-Muller on uniform draws (see _box_muller).  Given a sequence of generators,
+    it draws `shape` from each in turn and transforms the draws in one pass, returning
+    them stacked as (len(gen), *shape); the transform acts element by element, so each
+    lane holds its generator's own draw.
     """
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
     n = int(np.prod(shape)) if shape else 1
@@ -32,10 +31,29 @@ def complex_normal(gen, shape) -> np.ndarray:
     u = np.empty((len(gens), 2, n))
     for g, lane in zip(gens, u):
         g.random(out=lane)
-    radius = np.sqrt(-np.log1p(-u[:, 0]))  # 1-u in (0,1] keeps the log finite
-    angle = 2.0 * np.pi * u[:, 1]
-    z = radius * np.cos(angle) + 1j * radius * np.sin(angle)
+    z = _box_muller(u, np.empty((len(gens), n), dtype=complex))
     return z.reshape(shape if single else (len(gens), *shape))
+
+
+def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Complex Gaussians in out (..., n) from uniforms u (..., 2, n) in [0, 1), which it overwrites.
+
+    The first n uniforms of a lane give the radius sqrt(-log(1 - u)), the next n the angle
+    2 pi u; the cosine branch feeds the real component and the sine branch the imaginary
+    one, each with variance 1/2.  Every step writes into u or out, so no temporary is made.
+    """
+    radius, angle = u[..., 0, :], u[..., 1, :]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)  # 1-u in (0,1] keeps the log finite
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    real, imag = out.real, out.imag
+    np.cos(angle, out=real)
+    real *= radius
+    np.sin(angle, out=imag)
+    imag *= radius
+    return out
 
 
 def complex_normal_seeded(shape, seed: int, stream: int = 0) -> np.ndarray:

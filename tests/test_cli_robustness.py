@@ -1,8 +1,10 @@
-"""Robustness property of the `isac_tradeoff` command line, driven in-process.
+"""Robustness property of the `isac_tradeoff` and `mmwave_estimation` command lines,
+driven in-process.
 
 Over small random configs, with block energies and noise variances across the
-float range, every run either exits 0 printing only finite values and no
-RuntimeWarning, or exits 1 with one `error:` line.  p_t stops at 1e250: at 1e300
+float range (and, for the estimation, SNRs from -300 to 300 dB), every run either
+exits 0 printing only finite values and no RuntimeWarning, or exits 1 with one
+`error:` line.  p_t stops at 1e250: at 1e300
 the sphere solve's secular sums overflow, which the strict xfail
 tests/test_cli.py::TestMain::test_tradeoff_metrics_scale_with_a_huge_block_energy[1e+300]
 pins.  At tiny energies the run exits 1 where it should not; the strict xfail below
@@ -42,12 +44,18 @@ def tradeoff_argv(draw):
             "--rho-list", ",".join(map(repr, rhos))]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(tradeoff_argv())
-@example(["isac_tradeoff", "--p-t", "1e-250", "--trials", "1"])  # the tiny-energy refusal
-@example(["isac_tradeoff", "--m", "6", "--k", "1", "--t", "12", "--p-t", "1e250", "--noise-var", "5e-324",
-          "--rho-list", "0,0.01,0.99,1", "--trials", "3"])
-def test_tradeoff_run_prints_finite_values_or_one_error_line(argv):
+@st.composite
+def estimation_argv(draw):
+    m, n_s, t, n_sc = (draw(st.integers(1, 6)) for _ in range(4))
+    d = draw(st.integers(max(m, n_s), 6) | st.integers(1, 6))  # mostly a grid that fits both arrays
+    snrs = draw(st.lists(st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0), min_size=1, max_size=3))
+    return ["mmwave_estimation", "--m", str(m), "--n-s", str(n_s), "--d", str(d), "--t", str(t), "--n-sc", str(n_sc),
+            "--l", str(draw(st.integers(0, 3))), "--trials", str(draw(st.integers(1, 3))),
+            "--seed", str(draw(st.integers(0, 2**16))), "--snr-list=" + ",".join(map(repr, snrs))]
+
+
+def check_run(argv):
+    """The run exits 0 printing only finite values and no RuntimeWarning, or 1 with one error line."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -62,6 +70,23 @@ def test_tradeoff_run_prints_finite_values_or_one_error_line(argv):
     header, *rows = out.getvalue().splitlines()
     assert header == "scenario,param_name,param_value,trial,metric,value"
     assert rows and all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tradeoff_argv())
+@example(["isac_tradeoff", "--p-t", "1e-250", "--trials", "1"])  # the tiny-energy refusal
+@example(["isac_tradeoff", "--m", "6", "--k", "1", "--t", "12", "--p-t", "1e250", "--noise-var", "5e-324",
+          "--rho-list", "0,0.01,0.99,1", "--trials", "3"])
+def test_tradeoff_run_prints_finite_values_or_one_error_line(argv):
+    check_run(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(estimation_argv())
+@example(["mmwave_estimation", "--m", "6", "--n-s", "6", "--d", "6", "--l", "3", "--t", "1", "--n-sc", "1",
+          "--snr-list=-300,300", "--trials", "3"])
+def test_estimation_run_prints_finite_values_or_one_error_line(argv):
+    check_run(argv)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -378,3 +379,15 @@ class TestObservationFile:
             path.write_bytes(full[:cut])
             with pytest.raises(ValueError, match="truncated"):
                 read_observations(path)
+
+    @pytest.mark.parametrize("dims, body, expected", [
+        ((2**32 - 1,) * 3, 0, 2 * (2**32 - 1) ** 3),  # int64 wraps this count to 25769803774
+        ((2**22, 2**21, 2**21), 0, 2**65),  # int64 wraps this count to 0, which an empty body matched
+    ], ids=["max-dims", "wraps-to-zero"])
+    def test_rejects_a_header_whose_scalar_count_overflows_int64(self, tmp_path, dims, body, expected):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"ISACOBS1" + struct.pack("<III", *dims) + struct.pack("<ddd", SPACING, DURATION, CARRIER)
+                         + b"\x00" * (16 * body))
+        with pytest.raises(ValueError) as info:
+            read_observations(path)
+        assert str(info.value) == f"truncated observation file: expected {expected} scalars, found {2 * body}"
