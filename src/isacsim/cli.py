@@ -26,7 +26,7 @@ from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, _s
 from .precoding import shift_schedule, zf_scanning_precoder
 from .rng import complex_normal, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
-from .waveform import ConvergenceError, _pareto_solver, _pareto_terms
+from .waveform import ConvergenceError, _pareto_scorer
 
 MAX_THREADS = 256  # the pool starts up to this many OS threads
 BLOCK_TRIALS = 64  # trials per pool task: the unit of work and of timing
@@ -107,11 +107,12 @@ class TrialResult:
     the block's evaluation of that point divided by the trials in the block, including
     any draw of the point's own (such as the estimation noise).  The block's instance
     draw is not timed; it holds the work all points share, such as isac_tradeoff's stacked
-    eigh of Hc^H Hc and Hc U in its eigenbasis U, the estimation dictionaries, probes, probe
-    gains and each trial's noiseless observation, and the beam-scan precoder.  It also holds
-    the estimation scratch (estimation._scratch): every trial at every point draws its noise
-    into it, writes its noisy observation there and searches in it, so a point allocates no
-    noise, residual or projection arrays of its own.
+    eigh of Hc^H Hc, Hc U in its eigenbasis U and the per-mode scalars ||p_i||^2, ||q_i||^2
+    and Re<p_i, q_i> of p = U^H Hc^H C and q = U^H Xs that each rho is scored from, the
+    estimation dictionaries, probes, probe gains and each trial's noiseless observation,
+    and the beam-scan precoder.  It also holds the estimation scratch (estimation._scratch):
+    every trial at every point draws its noise into it, writes its noisy observation there
+    and searches in it, so a point allocates no noise, residual or projection arrays of its own.
     """
 
     scenario: str
@@ -159,15 +160,14 @@ def _sensing_trial(cfg: ScenarioConfig, block: range, gens):
 
 def _tradeoff_trial(cfg: ScenarioConfig, block: range, gens):
     """A block of trials as stacks: one stacked eigh for the Q_h checks and sensing
-    waveforms, one for the Hc^H Hc bases, and each rho solves every lane at once."""
+    waveforms, one for the Hc^H Hc bases, and each rho scores every lane at once."""
     hc, c, a = (complex_normal(gens, shape) for shape in ((cfg.k, cfg.m), (cfg.k, cfg.t), (cfg.m, cfg.m)))
     qh = a @ a.conj().swapaxes(-2, -1) / cfg.m
     xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.swapaxes(-2, -1)
-    u, q, solve = _pareto_solver(hc, c, xs, cfg.t * cfg.p_t)
-    hcu = hc @ u  # each rho scores its design's coordinates U^H X, never forming X
+    score = _pareto_scorer(hc, c, xs, cfg.t * cfg.p_t)  # each rho from the block's per-mode scalars
 
     def evaluate(pi, rho) -> list:
-        interference, distance = _pareto_terms(hcu, c, q, solve(rho, in_basis=True))
+        interference, distance = score(rho)
         objective = rho * interference + (1.0 - rho) * distance
         return [{"interference_power": i, "waveform_distance": d, "objective": o}
                 for i, d, o in zip(interference.tolist(), distance.tolist(), objective.tolist())]
@@ -296,6 +296,8 @@ _SCENARIO_TABLE = {
     "mmwave_estimation": Scenario("snr_db", lambda cfg: cfg.snr_db_list, _estimation_trial, (
         (lambda cfg: cfg.d >= max(cfg.m, cfg.n_s), "dictionary size d must be >= both array sizes"),
         (lambda cfg: cfg.l <= cfg.d, "cannot draw more resolvable paths than grid cells per side"),
+        # every receive atom of one element is [1]: the first deflation leaves a zero residual
+        (lambda cfg: cfg.n_s > 1 or cfg.l <= 1, "one receive element (n_s = 1) resolves at most one path (l <= 1)"),
         (lambda cfg: all(math.isfinite(_noise_variance(cfg, snr)) for snr in cfg.snr_db_list),
          "each SNR must give a finite 10^(snr/10) > 0 and a finite noise variance l / n_s / 10^(snr/10)"),
     )),

@@ -6,14 +6,27 @@ order or on how trials are scheduled across threads.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+
+
+class _PhiloxKey(ISeedSequence):
+    """A Philox key passed as the bit generator's seed, which Philox asks for its two 64-bit
+    key words: the same state as Philox(key=key), whose constructor also draws an OS-entropy
+    SeedSequence that it never uses."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, stream) pair; same pair, same draws, always."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def complex_normal(gen, shape) -> np.ndarray:

@@ -25,6 +25,9 @@ class ConvergenceError(RuntimeError):
         self.last_change = last_change
 
 
+_UNREACHABLE = "energy target unreachable from a zero stationary solution"
+
+
 def _check_rho(rho: float) -> float:
     rho = float(rho)
     if not 0.0 <= rho <= 1.0:
@@ -235,22 +238,34 @@ def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
 
 def _min_in_basis(vals, bt, energy):
     """That minimizer's coordinates vecs^H X for A = vecs diag(vals) vecs^H (vals = v ascending)
-    and bt = vecs^H B, or for each lane of stacks vals[..., :] and bt[..., :, :] at once.
+    and bt = vecs^H B, or for each lane of stacks vals[..., :] and bt[..., :, :] at once:
+    row i of bt times _secular_factors' d_i, then the hard case's fill along u_0.
+    Returns the coordinates before _on_sphere puts them at norm sqrt(energy).
+    """
+    factors, hard = _secular_factors(vals, _sq_sum(bt, 1), energy)
+    with np.errstate(invalid="ignore", over="ignore"):  # a factor is huge, or inf where the start offset underflows
+        coords = bt * factors[..., None]
+    if hard.any():
+        coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
+    return coords
 
-    X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2,
-    e_i the energy of row i of bt; lam > -v_0 solves psi(lam) = energy by Newton's method
+
+def _secular_factors(vals, energies, energy):
+    """The sphere solve's per-mode factors d_i = 1 / (v_i + lam), 0 on closed modes, and the
+    hard-case mask, from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane.
+
+    X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2;
+    lam > -v_0 solves psi(lam) = energy by Newton's method
     on phi = psi^{-1/2} - energy^{-1/2}, phi' = psi^{-3/2} sum_i e_i / (v_i + lam)^3.
     phi is increasing and concave on (-v_0, inf), so from lam = -v_0 + 1e-13 * max|v_i|
     (phi < 0) the iterates rise to the root without overshoot, until phi >= 0 or lam stalls.
     lam is held as its offset from the pole, for relative precision there.  That start and
     the open-mode gap 1e-12 * max|v_i| both scale with A, so (cA, cB) gives the same X.
     If psi falls short at the start (the hard case, B nearly orthogonal to u_0), the open
-    modes take lam = -v_0 and the deficit is filled along u_0.  For A = 0, X lies along B.
-    Every lane steps, stops and takes its case on its own, from its own arithmetic alone,
-    so a lane's X does not depend on the other lanes.
-    Returns the coordinates before _on_sphere puts them at norm sqrt(energy).
+    modes take lam = -v_0, the closed ones 0, and the caller fills the deficit along u_0.
+    For A = 0, X lies along B.  Every lane steps, stops and takes its case on its own, from
+    its own arithmetic alone, so a lane's X does not depend on the other lanes.
     """
-    energies = _sq_sum(bt, 1)
     gaps = vals - vals[..., :1]
     scale = np.max(np.abs(vals), axis=-1)
     flat = scale == 0.0  # A = 0: X(lam) lies along B for every lam > 0, so take lam = 1
@@ -259,7 +274,7 @@ def _min_in_basis(vals, bt, energy):
         """psi and sum_i e_i / (v_i + lam)^3 at lam = offset - v_0."""
         shifted = gaps + offset[..., None]
         terms = energies / shifted**2
-        return np.sum(terms, axis=-1), np.sum(terms / shifted, axis=-1)
+        return terms.sum(axis=-1), (terms / shifted).sum(axis=-1)  # np.sum's add.reduce, without its dispatch
 
     offset = np.where(flat, 1.0, 1e-13 * scale)
     psi, slope = secular(offset)
@@ -277,18 +292,15 @@ def _min_in_basis(vals, bt, energy):
             offset = np.where(active, moved, offset)
             psi, slope = secular(offset)
             active &= psi > energy
-        # hard lanes: the open modes at lam = -v_0, the closed ones empty, then the fill along u_0
+        # hard lanes: the open modes at lam = -v_0, the closed ones empty
         closed = hard[..., None] & (gaps <= 1e-12 * scale[..., None])
-        coords = bt * np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None]))[..., None]
-    if hard.any():
-        coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
-    return coords
+        return np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None])), hard
 
 
 def _on_sphere(coords, vecs, energy, shape):
-    """X = vecs @ coords (coords itself for vecs None: the norm is basis-free) at norm
-    sqrt(energy) in each lane, in `shape`, or None when it is zero in some lane."""
-    x = coords if vecs is None else vecs @ coords
+    """X = vecs @ coords at norm sqrt(energy) in each lane, in `shape`, or None when it is
+    zero in some lane."""
+    x = vecs @ coords
     norm = np.sqrt(_sq_sum(x))
     if np.any(norm == 0.0):
         return None
@@ -312,14 +324,13 @@ def _norm(z):
     return np.sqrt(re.dot(re) + im.dot(im))
 
 
-def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
-    """Check a trade-off instance once; return (U, U^H Xs, solve), solve(rho) its design at weight rho.
+def _pareto_basis(hc, c, xs, total_energy):
+    """Check a trade-off instance, or a stack hc[..., :, :], c, xs of them, once; return
+    (s, U, [p; q]): the eigenpairs of G = Hc^H Hc (one stacked eigh), and p = U^H Hc^H C over
+    q = U^H Xs in one array, each product written in place.
 
-    Every A(rho) = rho G + (1-rho) I shares the eigenvectors U of G = Hc^H Hc, with eigenvalues
-    rho s + (1-rho) ascending with G's s, so one eigh and the projections serve every rho.
-    solve(rho, in_basis=True) gives U^H X instead: Hc X = (Hc U)(U^H X), ||X - Xs|| = ||U^H X - U^H Xs||.
-    Stacks hc[..., :, :], c and xs are a stack of instances: one stacked eigh, and solve(rho)
-    returns their designs, each computed as alone (_min_in_basis lane by lane).
+    Every A(rho) = rho G + (1-rho) I shares the eigenvectors U, with eigenvalues rho s + (1-rho)
+    ascending with s, and U^H B(rho) = rho p + (1-rho) q, so these serve every rho.
     """
     hc, c, xs = (np.asarray(a, dtype=complex) for a in (hc, c, xs))
     if not 0 < total_energy < np.inf:
@@ -331,19 +342,82 @@ def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: 
     hh = hc.conj().swapaxes(-2, -1)
     s, u = np.linalg.eigh(hh @ hc)
     uh = u.conj().swapaxes(-2, -1)
-    p, q = uh @ (hh @ c), uh @ xs
+    m = s.shape[-1]
+    pq = np.empty(s.shape[:-1] + (2 * m, xs.shape[-1]), dtype=complex)
+    np.matmul(uh, hh @ c, out=pq[..., :m, :])
+    np.matmul(uh, xs, out=pq[..., m:, :])
+    return s, u, pq
 
-    def solve(rho: float, in_basis=False) -> np.ndarray:
+
+def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
+    """Check a trade-off instance once; return solve(rho), its design at weight rho.  For a stack
+    of instances solve(rho) returns their designs, each computed as alone (_min_in_basis lane by lane)."""
+    s, u, pq = _pareto_basis(hc, c, xs, total_energy)
+    p, q = np.split(pq, 2, axis=-2)
+
+    def solve(rho: float) -> np.ndarray:
         rho = _check_rho(rho)
         bt = rho * p
         bt += (1.0 - rho) * q
-        coords = _min_in_basis(rho * s + (1.0 - rho), bt, total_energy)
-        x = _on_sphere(coords, None if in_basis else u, total_energy, q.shape)
+        x = _on_sphere(_min_in_basis(rho * s + (1.0 - rho), bt, total_energy), u, total_energy, q.shape)
         if x is None:
-            raise ValueError("energy target unreachable from a zero stationary solution")
+            raise ValueError(_UNREACHABLE)
         return x
 
-    return u, q, solve
+    return solve
+
+
+def _pareto_scorer(hc, c, xs, total_energy):
+    """Check a stack of trade-off instances once; return score(rho) -> (interference, distance),
+    ||Hc X - C||_F^2 and ||X - Xs||_F^2 of each lane's design X at weight rho, never forming X.
+
+    In U's basis, row i of X is g_i (rho p_i + (1-rho) q_i), with g_i = kappa d_i for
+    _secular_factors' d_i and kappa = sqrt(E) / ||coords||, plus in the hard case the fill f on
+    entry [0, 0], where mode 0 is closed.  So a point needs only the per-mode scalars
+    a_i = ||p_i||^2, b_i = ||q_i||^2 and c_i = Re<p_i, q_i>, built here once:
+    - row i's energy is rho^2 a_i + 2 rho (1-rho) c_i + (1-rho)^2 b_i, and
+      ||coords||^2 = sum_i d_i^2 e_i + f^2;
+    - ||X - Xs||^2 = sum_i ||gam_i p_i + (del_i - 1) q_i||^2, gam = rho g and del = (1-rho) g, is a
+      2 x 2 quadratic form in (a_i, b_i, c_i), plus the fill's kappa f (kappa f - 2 Re q_00);
+    - Hc X - C = [Hc U diag(gam) | Hc U diag(del)] [p; q] - C is one stacked product.  Expanding
+      its norm in Gram scalars instead would cancel toward rho = 1, where it is near 0.
+    """
+    s, u, pq = _pareto_basis(hc, c, xs, total_energy)
+    m = s.shape[-1]
+    hcu = hc @ u
+    hcu2 = np.concatenate((hcu, hcu), axis=-1)
+    a, b = np.split(_sq_sum(pq, 1), 2, axis=-1)
+    rows = pq.view(np.float64)
+    cross = np.einsum("...i,...i->...", rows[..., :m, :], rows[..., m:, :])
+    q00 = pq[..., m, 0].real
+    root = np.sqrt(total_energy)
+
+    def score(rho: float):
+        rho = _check_rho(rho)
+        # at rho = 0 and 1 these are _sq_sum(bt, 1) to the bit
+        energies = rho * rho * a + 2.0 * rho * (1.0 - rho) * cross + (1.0 - rho) ** 2 * b
+        factors, hard = _secular_factors(rho * s + (1.0 - rho), energies, total_energy)
+        norm2 = (factors * factors * energies).sum(axis=-1)
+        if hard.any():
+            fill = np.where(hard, np.sqrt(np.maximum(total_energy - norm2, 0.0)), 0.0)
+            norm2 += fill * fill
+        if np.any(norm2 == 0.0):
+            raise ValueError(_UNREACHABLE)
+        kappa = root / np.sqrt(norm2)
+        gain = kappa[..., None] * factors
+        gam, dlt = rho * gain, (1.0 - rho) * gain
+        dm1 = dlt - 1.0
+        # each mode's term is a squared norm, which rounding can take a hair below 0
+        distance = np.maximum(gam * (gam * a + 2.0 * dm1 * cross) + dm1 * dm1 * b, 0.0).sum(axis=-1)
+        resid = (hcu2 * np.concatenate((gam, dlt), axis=-1)[..., None, :]) @ pq
+        resid -= c
+        if hard.any():
+            kf = kappa * fill
+            distance += kf * (kf - 2.0 * q00)
+            resid[..., 0] += kf[..., None] * hcu[..., 0]
+        return _sq_sum(resid), distance
+
+    return score
 
 
 def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: float, total_energy: float) -> np.ndarray:
@@ -353,7 +427,7 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
     constant, with A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs,
     so the design is the sphere minimizer; this is a one-rho call of _pareto_solver.
     """
-    return _pareto_solver(hc, c, xs, total_energy)[2](rho)
+    return _pareto_solver(hc, c, xs, total_energy)(rho)
 
 
 def _pareto_terms(hc, c, xs, x):

@@ -89,6 +89,7 @@ class TestScenarioConfig:
         (dict(scenario="isac_tradeoff", m=4, t=2), "block length t must be >= m"),
         (dict(scenario="mmwave_estimation", m=4, n_s=4, d=2), "both array sizes"),
         (dict(scenario="mmwave_estimation", l=5, d=4), "more resolvable paths"),
+        (dict(scenario="mmwave_estimation", n_s=1, l=2), "^one receive element \\(n_s = 1\\) resolves at most one path"),
         (dict(scenario="beam_scan", m=8, d=4), "dictionary size d must be >= m"),
         (dict(scenario="capacity_sweep", power_list=()), "no parameter points"),
         (dict(scenario="capacity_sweep", obs_path="obs.bin"), "only produced by mmwave_estimation"),
@@ -97,7 +98,7 @@ class TestScenarioConfig:
         (dict(scenario="isac_tradeoff", k=5, m=4, t=4), "more symbol streams than transmit antennas"),
         (dict(scenario="isac_tradeoff", p_t=1e308), "block energy t \\* p_t overflows"),
         (dict(scenario="sensing_sweep", power_list=(1.0, 1e308)), "block energy t \\* power overflows"),
-    ], ids=["sensing_t", "tradeoff_t", "estimation_d", "estimation_l", "beam_d", "no_points",
+    ], ids=["sensing_t", "tradeoff_t", "estimation_d", "estimation_l", "estimation_one_rx", "beam_d", "no_points",
             "obs_elsewhere", "capacity_power", "sensing_power", "tradeoff_k", "tradeoff_energy",
             "sensing_energy"])
     def test_preconditions_fail_when_built(self, fields_, message):
@@ -450,6 +451,19 @@ class TestMain:
         assert code == 1 and captured.out == ""
         assert captured.err == ("error: each SNR must give a finite 10^(snr/10) > 0 and a finite noise variance"
                                 " l / n_s / 10^(snr/10)\n")
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5])
+    def test_one_receive_element_with_several_paths_exits_one_without_a_dump(self, tmp_path, capsys, seed):
+        # with n_s = 1 the first deflation zeroes the residual: seed 3 exited 1 at run time and
+        # left the dump behind, seeds 1, 4 and 5 exited 0 with half of the paths missed
+        dump = tmp_path / "d.bin"
+        code = main(["mmwave_estimation", "--m", "2", "--n-s", "1", "--d", "2", "--t", "3", "--n-sc", "3",
+                     "--l", "2", "--trials", "3", "--seed", str(seed), "--snr-list=300", "--obs-out", str(dump)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not dump.exists()
+        assert captured.err == "error: one receive element (n_s = 1) resolves at most one path (l <= 1)\n"
+        assert main(["mmwave_estimation", "--m", "2", "--n-s", "1", "--d", "2", "--l", "1", "--trials", "3",
+                     "--seed", str(seed)]) == 0
 
     def test_no_paths_still_runs_at_ordinary_snrs(self, capsys):
         # l = 0 gives a zero noise variance, which is finite: the SNR checks let it through

@@ -1,7 +1,7 @@
-"""Robustness property of the `isac_tradeoff` and `mmwave_estimation` command lines,
-driven in-process.
+"""Robustness property of the `isac_tradeoff`, `mmwave_estimation` and `sensing_sweep`
+command lines, driven in-process.
 
-Over small random configs, with block energies and noise variances across the
+Over small random configs, with block energies, powers and noise variances across the
 float range (and, for the estimation, SNRs from -300 to 300 dB), every run either
 exits 0 printing only finite values and no RuntimeWarning, or exits 1 with one
 `error:` line.  p_t stops at 1e250: at 1e300
@@ -54,6 +54,15 @@ def estimation_argv(draw):
             "--seed", str(draw(st.integers(0, 2**16))), "--snr-list=" + ",".join(map(repr, snrs))]
 
 
+@st.composite
+def sensing_argv(draw):
+    m, n_s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    powers = draw(st.lists(log_uniform(1e300), min_size=1, max_size=3))
+    return ["sensing_sweep", "--m", str(m), "--n-s", str(n_s), "--t", str(draw(st.integers(m, m + 4))),
+            "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 2**16))),
+            "--noise-var", repr(draw(log_uniform(1e300))), "--power-list", ",".join(map(repr, powers))]
+
+
 def check_run(argv):
     """The run exits 0 printing only finite values and no RuntimeWarning, or 1 with one error line."""
     out, err = io.StringIO(), io.StringIO()
@@ -86,6 +95,15 @@ def test_tradeoff_run_prints_finite_values_or_one_error_line(argv):
 @example(["mmwave_estimation", "--m", "6", "--n-s", "6", "--d", "6", "--l", "3", "--t", "1", "--n-sc", "1",
           "--snr-list=-300,300", "--trials", "3"])
 def test_estimation_run_prints_finite_values_or_one_error_line(argv):
+    check_run(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sensing_argv())
+@example(["sensing_sweep", "--noise-var", "5e-324", "--power-list", "1e300", "--trials", "3"])  # an infinite rate
+@example(["sensing_sweep", "--m", "6", "--n-s", "1", "--t", "10", "--noise-var", "1e300", "--power-list",
+          "5e-324,1,1e300", "--trials", "3"])
+def test_sensing_run_prints_finite_values_or_one_error_line(argv):
     check_run(argv)
 
 

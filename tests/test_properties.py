@@ -238,7 +238,7 @@ def test_shared_basis_solve_matches_a_direct_solve_at_every_rho(instance, grid, 
     hc, c, xs, _ = instance
     if past_ls:  # at rho = 1 with k < m this is the hard case
         energy += np.linalg.norm(np.linalg.pinv(hc) @ c) ** 2
-    _, _, solve = _pareto_solver(hc, c, xs, energy)
+    solve = _pareto_solver(hc, c, xs, energy)
     for rho in [0.0, 1.0, *grid]:
         a = rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(hc.shape[1])
         b = rho * (hc.conj().T @ c) + (1.0 - rho) * xs

@@ -1,11 +1,12 @@
-"""The trade-off design in the eigenbasis U of Hc^H Hc.
+"""The trade-off design scored in the eigenbasis U of Hc^H Hc.
 
-`isac_tradeoff` scores each rho point on the design's coordinates U^H X, since
-Hc X = (Hc U)(U^H X) and ||X - Xs|| = ||U^H X - U^H Xs||, and never forms X.
-`solve_pareto_tradeoff`, `_min_on_sphere` and the stacked `_pareto_solver` designs
-still map the coordinates to antennas, then take the norm, then scale.  These tests
-hold the first to the public solve within rounding, the second to that order to the
-bit, and count the back-transforms a CLI run makes.
+`isac_tradeoff` scores each rho point from per-mode scalars of p = U^H Hc^H C and
+q = U^H Xs that the block draw builds once (`waveform._pareto_scorer`), and never
+forms the design.  `solve_pareto_tradeoff`, `_min_on_sphere` and the stacked
+`_pareto_solver` designs map the sphere solve's coordinates to antennas, then take
+the norm, then scale.  These tests hold the first to the public solve within
+rounding, the others to that order to the bit, and check that a CLI run neither
+forms a design nor scores one in antennas.
 """
 
 from unittest import mock
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from isacsim import cli, solve_pareto_tradeoff, waveform
 from isacsim.cli import ScenarioConfig, run_scenario
 from isacsim.rng import philox_stream
-from isacsim.waveform import _min_in_basis, _min_on_sphere, _pareto_solver, _pareto_terms, _sq_sum
+from isacsim.waveform import (_min_in_basis, _min_on_sphere, _pareto_scorer, _pareto_solver, _pareto_terms,
+                              _secular_factors, _sq_sum)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -46,9 +48,13 @@ def antenna_tail(coords, vecs, energy, shape):
 @example((6, 1), 6, 1e3, [], 3, 11)  # rank-one Hc far past its least-squares energy: hard case at rho = 1
 @example((5, 3), 0, 1e3, [0.01], 2, 4)  # 1 < k < m
 @example((4, 4), 0, 1e-3, [0.5], 4, 9)  # no null space
+@example((1, 1), 0, 1.0, [1e-9, 1.0 - 1e-9], 5, 3)  # scalar modes: every p_i and q_i parallel
+@example((1, 1), 2, 1e3, [1e-9, 0.3, 1.0 - 1e-9], 5, 8)
+@example((16, 4), 16, 1e200, [1e-9, 0.5, 1.0 - 1e-9], 2, 5)  # huge energies: the quadratic forms near 1e200
+@example((6, 1), 6, 1e250, [1e-9, 0.01, 0.99, 1.0 - 1e-9], 3, 11)
 def test_cli_basis_metrics_match_the_antenna_domain_design(mk, extra_t, p_t, grid, trials, seed):
-    # the block's instances as the CLI draws them, scored in the basis by the CLI and in
-    # antennas from each lane's own solve_pareto_tradeoff
+    # the block's instances as the CLI draws them, scored from per-mode scalars by the CLI
+    # and in antennas from each lane's own solve_pareto_tradeoff
     m, k = mk
     points = (0.0, 1.0, *grid)
     cfg = ScenarioConfig("isac_tradeoff", m=m, k=k, t=m + extra_t, p_t=p_t, rho_list=points, trials=trials,
@@ -58,14 +64,15 @@ def test_cli_basis_metrics_match_the_antenna_domain_design(mk, extra_t, p_t, gri
 
     def capturing(*args):
         instances.append(args)
-        return _pareto_solver(*args)
+        return _pareto_scorer(*args)
 
-    with mock.patch.object(cli, "_pareto_solver", capturing):
+    with mock.patch.object(cli, "_pareto_scorer", capturing):
         evaluate = cli._tradeoff_trial(cfg, block, [philox_stream(seed, stream=i) for i in block])
     (hc, c, xs, energy), = instances
     for pi, rho in enumerate(points):
         rows = evaluate(pi, rho)
         for i, row in enumerate(rows):
+            assert row["interference_power"] >= 0.0 and row["waveform_distance"] >= 0.0, (rho, i)
             x = solve_pareto_tradeoff(hc[i], c[i], xs[i], rho, energy)
             interference, distance = _pareto_terms(hc[i], c[i], xs[i], x)
             atol = 1e-12 * (float(_sq_sum(c[i])) + energy)
@@ -104,7 +111,7 @@ def test_pareto_designs_keep_the_antenna_tail_to_the_bit(stack):
     bt = rho * (uh @ (hh @ c))
     bt += (1.0 - rho) * (uh @ xs)
     want = antenna_tail(_min_in_basis(rho * s + (1.0 - rho), bt, energy), u, energy, xs.shape)
-    assert np.array_equal(_pareto_solver(hc, c, xs, energy)[2](rho), want)
+    assert np.array_equal(_pareto_solver(hc, c, xs, energy)(rho), want)
     for i in range(len(hc)):
         assert np.array_equal(solve_pareto_tradeoff(hc[i], c[i], xs[i], rho, energy), want[i])
 
@@ -126,20 +133,49 @@ def test_sphere_solve_keeps_the_antenna_tail_to_the_bit(n, cols, kind, seed, exp
 
 
 def test_cli_run_never_maps_a_design_back_to_antennas(monkeypatch):
-    # each rho point of a two-block run is put on the sphere in the eigenbasis;
-    # the public solve maps its design to antennas once
+    # a two-block run scores every rho point from the per-mode scalars: no design is put on
+    # the sphere and none is scored in antennas; the public solve puts its design there once
     calls = []
-    helper = waveform._on_sphere
-
-    def counting(coords, vecs, energy, shape):
-        calls.append(vecs is not None)
-        return helper(coords, vecs, energy, shape)
-
-    monkeypatch.setattr(waveform, "_on_sphere", counting)
-    cfg = ScenarioConfig("isac_tradeoff", trials=cli.BLOCK_TRIALS + 1, seed=2)
-    run_scenario(cfg)
-    assert calls == [False] * (2 * len(cfg.rho_list))
-    calls.clear()
+    for name in ("_on_sphere", "_pareto_terms"):
+        helper = getattr(waveform, name)
+        monkeypatch.setattr(waveform, name, lambda *args, name=name, helper=helper: calls.append(name) or helper(*args))
+    run_scenario(ScenarioConfig("isac_tradeoff", trials=cli.BLOCK_TRIALS + 1, seed=2))
+    assert calls == []
     gen = np.random.default_rng(5)
     solve_pareto_tradeoff(cn(gen, 2, 4), cn(gen, 2, 8), cn(gen, 4, 8), 0.5, 8.0)
-    assert calls == [True]
+    assert calls == ["_on_sphere"]
+
+
+def test_scored_distance_is_not_negative_where_the_design_is_the_reference():
+    # m = k = t = 1 with Xs along Hc^H C at the energy E: the design is Xs at every rho, so the
+    # distance is 0 up to rounding, and its quadratic form alone rounded below 0 in about a
+    # third of these lanes
+    gen = np.random.default_rng(4)
+    lanes, energy = 300, 10.0 ** gen.uniform(-3.0, 3.0)
+    hc, c = cn(gen, lanes, 1, 1), cn(gen, lanes, 1, 1)
+    target = hc.conj() * c
+    xs = np.sqrt(energy) * target / np.abs(target)
+    score = _pareto_scorer(hc, c, xs, energy)
+    for rho in (0.1, 0.5, 0.9):
+        interference, distance = score(rho)
+        assert np.all(distance >= 0.0) and np.all(distance <= 1e-14 * energy)
+        assert np.all(interference >= 0.0)
+
+
+def test_scored_hard_case_off_the_null_space_matches_the_antenna_domain_design():
+    # k = m at rho = 1 with C orthogonal to Hc u_0: B = Hc^H C has no energy on u_0, which Hc
+    # does not annihilate, so the fill along u_0 moves the interference as well as the distance
+    gen = np.random.default_rng(6)
+    lanes, m, t, energy = 4, 3, 2, 1e3
+    hc = cn(gen, lanes, m, m)
+    hh = hc.conj().swapaxes(-2, -1)
+    vals, u = np.linalg.eigh(hh @ hc)
+    hu0 = (hc @ u[..., :1])[..., 0]
+    c = cn(gen, lanes, m, t)
+    c -= hu0[..., None] * (np.einsum("li,lij->lj", hu0.conj(), c) / _sq_sum(hu0, 1)[..., None])[..., None, :]
+    xs = cn(gen, lanes, m, t)
+    assert np.all(_secular_factors(vals, _sq_sum(u.conj().swapaxes(-2, -1) @ hh @ c, 1), energy)[1])  # all hard
+    interference, distance = _pareto_scorer(hc, c, xs, energy)(1.0)
+    for i in range(lanes):
+        x = solve_pareto_tradeoff(hc[i], c[i], xs[i], 1.0, energy)
+        np.testing.assert_allclose([interference[i], distance[i]], _pareto_terms(hc[i], c[i], xs[i], x), rtol=1e-10)
