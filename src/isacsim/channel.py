@@ -166,7 +166,9 @@ def build_dictionary(geom: ArrayGeometry, grid_size: int) -> SteeringDictionary:
     if np.max(np.abs(normalized)) > geom.spacing_ratio + 1e-15:
         raise ValueError("full-period grid needs spacing_ratio >= 0.5 to map back to physical angles")
     angles = np.arcsin(np.clip(normalized / geom.spacing_ratio, -1.0, 1.0))
-    matrix = np.stack([steering_vector_normalized(geom.element_count, v) for v in normalized], axis=1)
+    # steering_vector_normalized's arithmetic for every grid point at once, over the element x grid outer product
+    n = geom.element_count
+    matrix = np.exp(-2j * np.pi * np.arange(n)[:, None] * normalized) / np.sqrt(n)
     return SteeringDictionary(geom, normalized, angles, matrix)
 
 

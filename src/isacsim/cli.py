@@ -16,6 +16,9 @@ import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .channel import ArrayGeometry, NoiseSpec, build_dictionary
 from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, _scratch, random_probes,
                          synthesize_observations, write_observations)
 from .precoding import shift_schedule, zf_scanning_precoder
-from .rng import complex_normal, philox_stream
+from .rng import complex_normal, complex_normals, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
 from .waveform import ConvergenceError, _pareto_scorer
 
@@ -99,9 +102,13 @@ class ScenarioConfig:
             raise ValueError("observation dumps are only produced by mmwave_estimation")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """One trial's metrics at one sweep point, or a point's mean/std row (wall time 0).
+
+    A row is an immutable named tuple: its six fields in this order, built positionally or by
+    keyword, read by attribute (or by index and unpacking, as any tuple), with `wall_time_s`
+    defaulting to 0.0.  A tuple is the cheapest row Python builds, and a run builds one per
+    (point, trial) pair.
 
     A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
     the block's evaluation of that point divided by the trials in the block, including
@@ -132,6 +139,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**data)
 
 
+def _covariance(a):
+    """A A^H / n for a stack of m x n draws A, divided in place."""
+    qh = a @ a.conj().swapaxes(-2, -1)
+    qh /= a.shape[-1]
+    return qh
+
+
 def _capacity_trial(cfg: ScenarioConfig, block: range, gens):
     hs = complex_normal(gens, (cfg.n_c, cfg.m))
     noise = NoiseSpec(cfg.noise_var)
@@ -147,8 +161,7 @@ def _capacity_trial(cfg: ScenarioConfig, block: range, gens):
 
 
 def _sensing_trial(cfg: ScenarioConfig, block: range, gens):
-    a = complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s)))
-    qh = a @ a.conj().swapaxes(-2, -1) / a.shape[-1]
+    qh = _covariance(complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s))))
     noise = NoiseSpec(cfg.noise_var)
 
     def evaluate(pi, power) -> list:
@@ -159,11 +172,14 @@ def _sensing_trial(cfg: ScenarioConfig, block: range, gens):
 
 
 def _tradeoff_trial(cfg: ScenarioConfig, block: range, gens):
-    """A block of trials as stacks: one stacked eigh for the Q_h checks and sensing
-    waveforms, one for the Hc^H Hc bases, and each rho scores every lane at once."""
-    hc, c, a = (complex_normal(gens, shape) for shape in ((cfg.k, cfg.m), (cfg.k, cfg.t), (cfg.m, cfg.m)))
-    qh = a @ a.conj().swapaxes(-2, -1) / cfg.m
-    xs = optimal_sensing_waveform(qh, cfg.t, cfg.p_t, NoiseSpec(cfg.noise_var)).block.swapaxes(-2, -1)
+    """A block of trials as stacks: each generator draws its Hc, C and A in one call, one
+    stacked eigh serves the Q_h checks and sensing waveforms, one the Hc^H Hc bases, and each
+    rho scores every lane at once."""
+    draws = complex_normals(gens, [(cfg.k, cfg.m), (cfg.k, cfg.t), (cfg.m, cfg.m)])
+    # A and Q_h = A A^H / m go unnamed, so each is freed once used: fewer large arrays alive at once
+    xs = optimal_sensing_waveform(_covariance(draws.pop()), cfg.t, cfg.p_t,
+                                  NoiseSpec(cfg.noise_var)).block.swapaxes(-2, -1)
+    hc, c = draws
     score = _pareto_scorer(hc, c, xs, cfg.t * cfg.p_t)  # each rho from the block's per-mode scalars
 
     def evaluate(pi, rho) -> list:
@@ -332,27 +348,29 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     # tasks draw their instances when they start, so at most `threads` blocks are alive at once
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         by_block = list(pool.map(task, blocks))
-    # trial rows point-major, then mean/std rows per point (a repeated point value stays separate)
-    results, summary = [], []
+    # trial rows point-major, in trial order (a repeated point value stays a separate point)
+    name, trials = scenario.param_name, [str(trial) for trial in range(cfg.trials)]
+    results, metrics = [], []
     for pi, point in enumerate(points):
-        rows = []
         for block, timed in zip(blocks, by_block):
-            metrics, share = timed[pi]
-            rows += [TrialResult(cfg.scenario, scenario.param_name, point, str(trial), m, share)
-                     for trial, m in zip(block, metrics)]
-        results += rows
-        keys = sorted(rows[0].metrics)
-        # one row per metric: each row reduces along its contiguous axis, in the 1-D sum's order
-        table = np.array([[r.metrics[k] for r in rows] for k in keys], dtype=float)
-        with np.errstate(over="ignore"):  # squares above the largest float: those rows are rescaled below
-            std = np.std(table, axis=1)
-        over = np.isinf(std)  # not nan: a row holding inf or nan gives nan either way
-        if over.any():
-            scale = np.max(np.abs(table[over]), axis=1, keepdims=True)
-            std[over] = scale[:, 0] * np.std(table[over] / scale, axis=1)
-        for tag, stat in (("mean", np.mean(table, axis=1)), ("std", std)):
-            summary.append(TrialResult(cfg.scenario, scenario.param_name, point, tag, dict(zip(keys, stat.tolist()))))
-    return results + summary
+            rows, share = timed[pi]
+            metrics += rows
+            results += map(TrialResult._make, zip(repeat(cfg.scenario), repeat(name), repeat(point),
+                                                  trials[block.start:block.stop], rows, repeat(share)))
+    # one (point, metric, trial) table: each row reduces along its contiguous axis, in the 1-D sum's order
+    keys = sorted(metrics[0])
+    table = np.array(list(map(itemgetter(*keys), metrics)), dtype=float).reshape(len(points), cfg.trials, len(keys))
+    table = np.ascontiguousarray(table.transpose(0, 2, 1))
+    with np.errstate(over="ignore"):  # squares above the largest float: those rows are rescaled below
+        std = np.std(table, axis=-1)
+    over = np.isinf(std)  # not nan: a row holding inf or nan gives nan either way
+    if over.any():
+        scale = np.max(np.abs(table[over]), axis=-1, keepdims=True)
+        std[over] = scale[:, 0] * np.std(table[over] / scale, axis=-1)
+    for point, mean_row, std_row in zip(points, np.mean(table, axis=-1).tolist(), std.tolist()):
+        results += (TrialResult(cfg.scenario, name, point, "mean", dict(zip(keys, mean_row))),
+                    TrialResult(cfg.scenario, name, point, "std", dict(zip(keys, std_row))))
+    return results
 
 
 def emit_results(results, fmt: str, path=None) -> str:
@@ -361,32 +379,45 @@ def emit_results(results, fmt: str, path=None) -> str:
     CSV columns: scenario,param_name,param_value,trial,metric,value - one row
     per metric, newline-terminated UTF-8.  JSON holds the same records as
     json.dumps(records, sort_keys=True) writes them; neither builds the records.
+    Each metric key set is sorted (and quoted) once per call, and a point's scenario,
+    parameter name and value are formatted once for each run of rows that hold those very
+    objects, so equal floats of other signs or types (0.0 and -0.0, 1.0 and np.float64(1.0))
+    and NaN keep their own text; a record then costs one value repr and one string build.
     """
     if not results:
         raise ValueError("no results to emit")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    if fmt == "csv":
-        lines = ["scenario,param_name,param_value,trial,metric,value"]
-        for r in results:
-            head = f"{r.scenario},{r.param_name},{r.param_value!r},{r.trial},"
-            lines += [f"{head}{metric},{r.metrics[metric]!r}" for metric in sorted(r.metrics)]
-        text = "\n".join(lines) + "\n"
-    else:
-        def number(value) -> str:  # json.dumps' text of a float: its repr, or NaN, Infinity, -Infinity
-            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    csv = fmt == "csv"
+    quote, finite, dumps, text = json.encoder.encode_basestring_ascii, math.isfinite, json.dumps, float.__repr__
 
-        quote, records = json.encoder.encode_basestring_ascii, []
-        for r in results:  # a record's keys in sorted order, as sort_keys writes them
-            tail = (f', "param_name": {quote(r.param_name)}, "param_value": {number(r.param_value)}, '
-                    f'"scenario": {quote(r.scenario)}, "trial": {quote(r.trial)}, "value": ')
-            records += [f'{{"metric": {quote(metric)}{tail}{number(r.metrics[metric])}}}'
-                        for metric in sorted(r.metrics)]
-        text = "[" + ", ".join(records) + "]\n"
+    def number(value) -> str:  # json.dumps' text of a float: its repr, or NaN, Infinity, -Infinity
+        return text(value) if finite(value) else dumps(value)
+
+    key_sets, lines = {}, ["scenario,param_name,param_value,trial,metric,value"] if csv else []
+    scenario = name = value = prefix = None
+    for r in results:
+        metrics = r.metrics
+        key_set = frozenset(metrics)
+        keys = key_sets.get(key_set)
+        if keys is None:  # sorted as sort_keys writes them, each with its JSON record's opening
+            keys = key_sets[key_set] = [(k, '{"metric": ' + quote(k)) for k in sorted(metrics)]
+        if r.param_value is not value or r.scenario is not scenario or r.param_name is not name:
+            scenario, name, value = r.scenario, r.param_name, r.param_value
+            prefix = (f"{scenario},{name},{value!r}," if csv else
+                      f', "param_name": {quote(name)}, "param_value": {number(value)}, '
+                      f'"scenario": {quote(scenario)}, "trial": ')
+        if csv:
+            head = f"{prefix}{r.trial},"
+            lines += [f"{head}{k},{metrics[k]!r}" for k, _ in keys]
+        else:
+            tail = f'{prefix}{quote(r.trial)}, "value": '
+            lines += [f"{opening}{tail}{number(metrics[k])}}}" for k, opening in keys]
+    out = "\n".join(lines) + "\n" if csv else "[" + ", ".join(lines) + "]\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+            fh.write(out)
+    return out
 
 
 _FLAG_NAMES = {"out_path": "out", "obs_path": "obs-out", "snr_db_list": "snr-list"}

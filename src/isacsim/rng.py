@@ -38,14 +38,25 @@ def complex_normal(gen, shape) -> np.ndarray:
     lane holds its generator's own draw.
     """
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
-    n = int(np.prod(shape)) if shape else 1
     single = isinstance(gen, np.random.Generator)
-    gens = [gen] if single else list(gen)  # one generator is the one-lane case, returned unstacked
-    u = np.empty((len(gens), 2, n))
+    (z,) = complex_normals([gen] if single else list(gen), [shape])
+    return z.reshape(shape) if single else z
+
+
+def complex_normals(gens, shapes) -> list:
+    """complex_normal(gens, shape) for each of `shapes` in turn, as one stack per shape.  Each
+    generator draws the uniforms of all the shapes in one call: the same draws as one call per
+    shape, since a generator's uniforms go on where its last call stopped."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    u = np.empty((len(gens), 2 * sum(sizes)))
     for g, lane in zip(gens, u):
         g.random(out=lane)
-    z = _box_muller(u, np.empty((len(gens), n), dtype=complex))
-    return z.reshape(shape if single else (len(gens), *shape))
+    stacks, start = [], 0
+    for shape, n in zip(shapes, sizes):
+        lanes = u[:, start:start + 2 * n].reshape(len(gens), 2, n)  # a view: the shape's uniforms, lane by lane
+        stacks.append(_box_muller(lanes, np.empty((len(gens), n), dtype=complex)).reshape((len(gens), *shape)))
+        start += 2 * n
+    return stacks
 
 
 def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -54,11 +65,14 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     The first n uniforms of a lane give the radius sqrt(-log(1 - u)), the next n the angle
     2 pi u; the cosine branch feeds the real component and the sine branch the imaginary
     one, each with variance 1/2.  Every step writes into u or out, so no temporary is made.
+    u may be a view whose lanes are not adjacent (complex_normals).  Signs are flipped by
+    multiplying by -1, which is exact: NumPy 2.4's in-place np.negative misreads elements 64 bytes
+    apart, as the radii of a one-element shape are when each generator draws four uniform pairs.
     """
     radius, angle = u[..., 0, :], u[..., 1, :]
-    np.negative(radius, out=radius)
+    radius *= -1.0
     np.log1p(radius, out=radius)  # 1-u in (0,1] keeps the log finite
-    np.negative(radius, out=radius)
+    radius *= -1.0
     np.sqrt(radius, out=radius)
     angle *= 2.0 * np.pi
     real, imag = out.real, out.imag

@@ -65,6 +65,7 @@ def optimal_sensing_waveform(qh: np.ndarray, t: int, power_per_transmission: flo
     stacked allocation, over G columns for the stack's highest rank G.
     """
     vals, vecs = _probing_modes(qh, t)
+    del qh  # read only through its modes: a caller's temporary goes before the block's arrays are made
     if not np.all(np.any(vals, axis=-1)):
         raise ValueError("channel covariance is zero; nothing to probe")
     alloc, _ = _fill(vals, t * power_per_transmission, noise)

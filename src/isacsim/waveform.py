@@ -339,13 +339,16 @@ def _pareto_basis(hc, c, xs, total_energy):
         raise ValueError("channel, symbols and reference waveform dimensions do not conform")
     if c.shape[-2] > hc.shape[-1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
+    m = hc.shape[-1]
+    # the array the points keep, made first, where the sensing block's freed temporaries were
+    pq = np.empty(hc.shape[:-2] + (2 * m, xs.shape[-1]), dtype=complex)
+    p, q = pq[..., :m, :], pq[..., m:, :]
     hh = hc.conj().swapaxes(-2, -1)
     s, u = np.linalg.eigh(hh @ hc)
     uh = u.conj().swapaxes(-2, -1)
-    m = s.shape[-1]
-    pq = np.empty(s.shape[:-1] + (2 * m, xs.shape[-1]), dtype=complex)
-    np.matmul(uh, hh @ c, out=pq[..., :m, :])
-    np.matmul(uh, xs, out=pq[..., m:, :])
+    np.matmul(hh, c, out=q)  # Hc^H C waits in q's rows, so no array of its own is made for it
+    np.matmul(uh, q, out=p)
+    np.matmul(uh, xs, out=q)
     return s, u, pq
 
 

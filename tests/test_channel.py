@@ -132,6 +132,14 @@ class TestBuildDictionary:
         with pytest.raises(ValueError):
             build_dictionary(ArrayGeometry(4), 3)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matrix_is_the_per_atom_steering_loop_to_the_bit(self, n):
+        # one exp over the element x grid outer product does each atom's own arithmetic
+        for d in range(n, 4 * n + 1):
+            dictionary = build_dictionary(ArrayGeometry(n), d)
+            loop = np.stack([steering_vector_normalized(n, v) for v in dictionary.grid_normalized], axis=1)
+            assert dictionary.matrix.shape == loop.shape and dictionary.matrix.tobytes() == loop.tobytes()
+
     def test_grid_angles_map_back_to_columns(self):
         d = build_dictionary(ArrayGeometry(4), 8)
         for i in range(8):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     ArrayGeometry, ConvergenceError, GridPath, NoiseSpec, build_dictionary, comm_capacity, optimal_sensing_waveform,
@@ -305,6 +307,59 @@ class TestTrialBlocks:
         # a trial's time is its block's point time over the block's trials
         assert len({r.wall_time_s for r in trial_rows[:cli.BLOCK_TRIALS]}) == 1
         assert all(r.wall_time_s > 0 for r in trial_rows)
+
+
+def check_summary_rows(config) -> int:
+    """Each point's mean and std rows hold np.mean and np.std of its trial rows' values as 1-D arrays,
+    to the bit, where a std whose squares overflow is that of the values over their largest magnitude,
+    scaled back.  Returns how many std values took that rescale."""
+    results = run_scenario(config)
+    points, n = cli._SCENARIO_TABLE[config.scenario].points(config), config.trials
+    summary, rescaled = results[len(points) * n:], 0
+    assert len(summary) == 2 * len(points)
+    for pi, point in enumerate(points):  # a repeated point value is a point of its own
+        rows, (mean_row, std_row) = results[pi * n:(pi + 1) * n], summary[2 * pi:2 * pi + 2]
+        assert [r.trial for r in rows] == [str(i) for i in range(n)]
+        assert (mean_row.trial, std_row.trial) == ("mean", "std")
+        assert {r.param_value for r in (*rows, mean_row, std_row)} == {point}
+        for key in rows[0].metrics:
+            values = np.array([r.metrics[key] for r in rows])
+            with np.errstate(over="ignore"):
+                std = np.std(values)
+            if np.isinf(std):
+                rescaled += 1
+                scale = np.max(np.abs(values))
+                std = scale * np.std(values / scale)
+            assert np.float64(mean_row.metrics[key]).tobytes() == np.mean(values).tobytes()
+            assert np.float64(std_row.metrics[key]).tobytes() == std.tobytes()
+    return rescaled
+
+
+@st.composite
+def summary_configs(draw):
+    scenario = draw(st.sampled_from(["capacity_sweep", "sensing_sweep", "isac_tradeoff"]))
+    field = "rho_list" if scenario == "isac_tradeoff" else "power_list"
+    values = st.sampled_from([0.0, 0.5, 1.0]) if scenario == "isac_tradeoff" else st.sampled_from([0.5, 2.0, 1e4])
+    fields_ = dict(TestTrialBlocks.CONFIGS[scenario], **{field: draw(st.lists(values, min_size=1, max_size=4))})
+    return cfg(scenario=scenario, seed=draw(st.integers(0, 2**16)), trials=draw(st.integers(1, 2 * cli.BLOCK_TRIALS + 5)),
+               **fields_)
+
+
+class TestSummaryRows:
+    """The runner reduces one stacked (point, metric, trial) table with one np.mean and one np.std."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(summary_configs())
+    @example(cfg(scenario="isac_tradeoff", trials=cli.BLOCK_TRIALS + 5, seed=3))  # two blocks, the last partial
+    @example(cfg(scenario="isac_tradeoff", rho_list=(0.0, 0.5, 0.5, 1.0), trials=7, seed=2))  # a repeated rho
+    @example(cfg(scenario="isac_tradeoff", trials=1, seed=2))
+    @example(cfg(scenario="capacity_sweep", power_list=(1.0, 1.0), trials=2 * cli.BLOCK_TRIALS + 5, seed=4))
+    def test_mean_and_std_rows_are_the_per_point_reductions_to_the_bit(self, config):
+        check_summary_rows(config)
+
+    def test_std_rows_whose_squares_overflow_are_rescaled_to_the_bit(self):
+        config = cfg(scenario="isac_tradeoff", m=16, k=4, t=32, p_t=1e200, trials=4, seed=5)
+        assert check_summary_rows(config) > 0
 
 
 class TestEmitResults:

@@ -1,5 +1,4 @@
-"""Robustness property of the `isac_tradeoff`, `mmwave_estimation` and `sensing_sweep`
-command lines, driven in-process.
+"""Robustness property of every scenario's command line, driven in-process.
 
 Over small random configs, with block energies, powers and noise variances across the
 float range (and, for the estimation, SNRs from -300 to 300 dB), every run either
@@ -8,7 +7,8 @@ exits 0 printing only finite values and no RuntimeWarning, or exits 1 with one
 the sphere solve's secular sums overflow, which the strict xfail
 tests/test_cli.py::TestMain::test_tradeoff_metrics_scale_with_a_huge_block_energy[1e+300]
 pins.  At tiny energies the run exits 1 where it should not; the strict xfail below
-pins that.
+pins that.  capacity_sweep's mi_bits reads -inf or nan at extreme SNRs: the capacity
+property lets that one metric through, and a strict xfail below pins it.
 """
 
 import contextlib
@@ -63,8 +63,27 @@ def sensing_argv(draw):
             "--noise-var", repr(draw(log_uniform(1e300))), "--power-list", ",".join(map(repr, powers))]
 
 
-def check_run(argv):
-    """The run exits 0 printing only finite values and no RuntimeWarning, or 1 with one error line."""
+@st.composite
+def capacity_argv(draw):
+    powers = draw(st.lists(log_uniform(1e300), min_size=1, max_size=3))
+    return ["capacity_sweep", "--m", str(draw(st.integers(1, 6))), "--n-c", str(draw(st.integers(1, 6))),
+            "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 2**16))),
+            "--noise-var", repr(draw(log_uniform(1e300))), "--power-list", ",".join(map(repr, powers))]
+
+
+@st.composite
+def beam_scan_argv(draw):
+    m = draw(st.integers(1, 8))
+    return ["beam_scan", "--m", str(m), "--d", str(draw(st.integers(m, 4 * m))),
+            "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 2**16)))]
+
+
+def check_run(argv, defect=None):
+    """The run exits 0 printing only finite values and no RuntimeWarning, or 1 with one error line.
+
+    `defect` names a metric with a known defect: a run in which only that metric prints non-finite
+    values passes, whatever RuntimeWarnings it raised on the way.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -75,10 +94,13 @@ def check_run(argv):
         assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
         return
     assert code == 0 and err.getvalue() == ""
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     header, *rows = out.getvalue().splitlines()
     assert header == "scenario,param_name,param_value,trial,metric,value"
-    assert rows and all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
+    assert rows
+    nonfinite = {row.split(",")[4] for row in rows if not math.isfinite(float(row.rsplit(",", 1)[1]))}
+    assert nonfinite <= {defect}
+    if not nonfinite:
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -105,6 +127,30 @@ def test_estimation_run_prints_finite_values_or_one_error_line(argv):
           "5e-324,1,1e300", "--trials", "3"])
 def test_sensing_run_prints_finite_values_or_one_error_line(argv):
     check_run(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(capacity_argv())
+@example(["capacity_sweep", "--m", "1", "--n-c", "1", "--noise-var", "5e-324", "--power-list", "5e-324"])
+@example(["capacity_sweep", "--m", "6", "--n-c", "6", "--noise-var", "1e300", "--power-list", "5e-324,1e300",
+          "--trials", "3"])
+def test_capacity_run_prints_finite_values_or_one_error_line(argv):
+    check_run(argv, defect="mi_bits")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(beam_scan_argv())
+@example(["beam_scan", "--m", "1", "--d", "1"])
+@example(["beam_scan", "--m", "8", "--d", "32", "--trials", "3"])
+def test_beam_scan_run_prints_finite_values_or_one_error_line(argv):
+    check_run(argv)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "slogdet of the n_c x n_c I + H Q H^H / sigma^2 loses its n_c - m unit eigenvalues at a high SNR, "
+    "so trial 1's mi_bits reads -inf, the mean -inf and the std nan, with a RuntimeWarning"))
+def test_capacity_mi_bits_stay_finite_at_a_high_snr():
+    check_run(["capacity_sweep", "--m", "1", "--trials", "3", "--seed", "41", "--power-list", "1e150"])
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -65,6 +65,21 @@ def result_rows(draw):
                                                            "interference_power": math.nan})])
 @example([TrialResult("capacity_sweep", "power", 1e308, "mean", {}),
           TrialResult("capacity_sweep", "power", 1e308, "0", {"\"q\\ué\n": 5e-324})])
+# the emitter formats a point once per run of rows and sorts a key set once: equal point values of
+# another sign, NaN payload or type, and one key set listed in two orders, must not share text
+@example([TrialResult("isac_tradeoff", "rho", point, str(i), {"objective": 1.0})
+          for i, point in enumerate([0.0, -0.0, 0.0, math.nan, -math.nan, math.nan, -0.0])])
+@example([TrialResult("capacity_sweep", "power", point, "0", {"comm_bits": 2.0})
+          for point in (1.0, np.float64(1.0), 1.0, np.float64(-0.0), -0.0, np.float64(math.nan), math.nan)])
+@example([TrialResult("capacity_sweep", "power", 2.0, "0", {"mi_bits": 1.0, "comm_bits": 2.0}),
+          TrialResult("capacity_sweep", "power", 2.0, "1", {"comm_bits": 3.0, "mi_bits": -0.0}),
+          TrialResult("capacity_sweep", "power", 2.0, "mean", {"mi_bits": math.nan, "comm_bits": 2.5}),
+          TrialResult("capacity_sweep", "power", 2.0, "std", {"comm_bits": 0.5, "mi_bits": math.inf})])
+@example([TrialResult("sensing_sweep", "power", 0.0, "0", {"b": 1.0, "a": -0.0}),
+          TrialResult("sensing_sweep", "power", -0.0, "0", {"a": math.nan, "b": np.float64(2.0)}),
+          TrialResult("sensing_sweep", "power", np.float64(0.0), "1", {"b": -math.nan, "a": 3.0}),
+          TrialResult("sensing_sweep", "power", math.nan, "mean", {"a": 1.0, "b": 2.0}),
+          TrialResult("sensing_sweep", "power", -math.nan, "std", {"b": 0.0, "a": -math.inf})])
 def test_emitter_matches_the_record_dict_emitter_to_the_byte(rows):
     for fmt in ("csv", "json"):
         assert emit_results(rows, fmt) == record_dict_emitter(rows, fmt)
