@@ -115,8 +115,10 @@ class VirtualCoefficients:
 
 
 def steering_vector_normalized(element_count: int, normalized_angle: float) -> np.ndarray:
-    """Array response [exp(-2j*pi*n*theta_n)]/sqrt(N) for a normalized angle."""
+    """Array response [exp(-2j*pi*n*theta_n)]/sqrt(N) for a normalized angle, or one column per angle of a 1-D grid."""
     n = np.arange(element_count)
+    if np.ndim(normalized_angle):
+        n = n[:, None]
     return np.exp(-2j * np.pi * n * normalized_angle) / np.sqrt(element_count)
 
 
@@ -166,10 +168,7 @@ def build_dictionary(geom: ArrayGeometry, grid_size: int) -> SteeringDictionary:
     if np.max(np.abs(normalized)) > geom.spacing_ratio + 1e-15:
         raise ValueError("full-period grid needs spacing_ratio >= 0.5 to map back to physical angles")
     angles = np.arcsin(np.clip(normalized / geom.spacing_ratio, -1.0, 1.0))
-    # steering_vector_normalized's arithmetic for every grid point at once, over the element x grid outer product
-    n = geom.element_count
-    matrix = np.exp(-2j * np.pi * np.arange(n)[:, None] * normalized) / np.sqrt(n)
-    return SteeringDictionary(geom, normalized, angles, matrix)
+    return SteeringDictionary(geom, normalized, angles, steering_vector_normalized(geom.element_count, normalized))
 
 
 def _snap_index(dictionary: SteeringDictionary, angle_rad: float):

@@ -105,21 +105,11 @@ class ScenarioConfig:
 class TrialResult(NamedTuple):
     """One trial's metrics at one sweep point, or a point's mean/std row (wall time 0).
 
-    A row is an immutable named tuple: its six fields in this order, built positionally or by
-    keyword, read by attribute (or by index and unpacking, as any tuple), with `wall_time_s`
-    defaulting to 0.0.  A tuple is the cheapest row Python builds, and a run builds one per
-    (point, trial) pair.
-
-    A block of consecutive trials is the unit of work and of timing: `wall_time_s` is
-    the block's evaluation of that point divided by the trials in the block, including
-    any draw of the point's own (such as the estimation noise).  The block's instance
-    draw is not timed; it holds the work all points share, such as isac_tradeoff's stacked
-    eigh of Hc^H Hc, Hc U in its eigenbasis U and the per-mode scalars ||p_i||^2, ||q_i||^2
-    and Re<p_i, q_i> of p = U^H Hc^H C and q = U^H Xs that each rho is scored from, the
-    estimation dictionaries, probes, probe gains and each trial's noiseless observation,
-    and the beam-scan precoder.  It also holds the estimation scratch (estimation._scratch):
-    every trial at every point draws its noise into it, writes its noisy observation there
-    and searches in it, so a point allocates no noise, residual or projection arrays of its own.
+    A row is an immutable named tuple of its six fields, in this order, with `wall_time_s`
+    defaulting to 0.0; a run builds one per (point, trial) pair.  A block of consecutive trials
+    is the unit of work and of timing: `wall_time_s` is the block's evaluation of that point
+    divided by the trials in the block, including any draw of the point's own.  The block's
+    instance draw, which holds the work all points share, is not timed.
     """
 
     scenario: str

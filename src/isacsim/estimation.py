@@ -403,10 +403,7 @@ def write_observations(obs: ObservationTensor, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", *obs.data.shape))
         fh.write(struct.pack("<ddd", obs.subcarrier_spacing_hz, obs.symbol_duration_s, obs.carrier_hz))
-        interleaved = np.empty(obs.data.size * 2, dtype="<f8")
-        interleaved[0::2] = obs.data.real.ravel()
-        interleaved[1::2] = obs.data.imag.ravel()
-        fh.write(interleaved.tobytes())
+        fh.write(obs.data.astype("<c16", copy=False).tobytes())  # interleaved little-endian (re, im) pairs
 
 
 def read_observations(path) -> ObservationTensor:

@@ -43,11 +43,6 @@ def interference_power(xc: np.ndarray, hc: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(hc @ xc - c, "fro") ** 2)
 
 
-def _weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm) -> float:
-    """Unchecked weighted objective of a covariance, or of each of a stack (_weighted_mi_terms)."""
-    return _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm)[0](q)[0]
-
-
 def _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm):
     """(objective, gradient) of the unchecked weighted objective, f the covariance factor (Q_h = F F^H),
     with the identities and conjugate transposes built once.  objective(q) -> (value, comm) for a
@@ -110,8 +105,8 @@ def weighted_mi_objective(
     require_psd(q, "transmit covariance")
     _check_normalizers(rho, comm_norm, sens_norm)
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
-    return float(_weighted_mi(q, np.asarray(hc, dtype=complex), f, rho, noise, t, n_s,
-                              comm_norm, sens_norm))
+    objective = _weighted_mi_terms(np.asarray(hc, dtype=complex), f, rho, noise, t, n_s, comm_norm, sens_norm)[0]
+    return float(objective(q)[0])
 
 
 def _project_psd_trace(q: np.ndarray, budget: float) -> np.ndarray:
@@ -232,22 +227,25 @@ def solve_covariance_constrained(hc: np.ndarray, c: np.ndarray, rs: np.ndarray, 
 def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
     """Minimize tr(X^H A X) - 2 Re tr(X^H B) on ||X||_F^2 = energy: _min_in_basis in A's eigenbasis."""
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    coords = _min_in_basis(vals, vecs.conj().T @ np.reshape(b, (vals.size, -1)), energy)
-    return _on_sphere(coords, vecs, energy, np.shape(b))
+    return _min_in_basis(vals, vecs, vecs.conj().T @ np.reshape(b, (vals.size, -1)), energy, np.shape(b))
 
 
-def _min_in_basis(vals, bt, energy):
-    """That minimizer's coordinates vecs^H X for A = vecs diag(vals) vecs^H (vals = v ascending)
-    and bt = vecs^H B, or for each lane of stacks vals[..., :] and bt[..., :, :] at once:
-    row i of bt times _secular_factors' d_i, then the hard case's fill along u_0.
-    Returns the coordinates before _on_sphere puts them at norm sqrt(energy).
-    """
+def _min_in_basis(vals, vecs, bt, energy, shape):
+    """That minimizer X, in `shape`, for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B,
+    or for each lane of stacks vals[..., :], vecs and bt[..., :, :] at once: row i of bt times
+    _secular_factors' d_i, the hard case's fill along u_0, then X = vecs @ coords, its norm and
+    the scale to norm sqrt(energy).  None when X is zero in some lane."""
     factors, hard = _secular_factors(vals, _sq_sum(bt, 1), energy)
     with np.errstate(invalid="ignore", over="ignore"):  # a factor is huge, or inf where the start offset underflows
         coords = bt * factors[..., None]
     if hard.any():
         coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
-    return coords
+    x = vecs @ coords
+    norm = np.sqrt(_sq_sum(x))
+    if np.any(norm == 0.0):
+        return None
+    x *= (np.sqrt(energy) / norm)[..., None, None]
+    return np.reshape(x, shape)
 
 
 def _secular_factors(vals, energies, energy):
@@ -297,17 +295,6 @@ def _secular_factors(vals, energies, energy):
         return np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None])), hard
 
 
-def _on_sphere(coords, vecs, energy, shape):
-    """X = vecs @ coords at norm sqrt(energy) in each lane, in `shape`, or None when it is
-    zero in some lane."""
-    x = vecs @ coords
-    norm = np.sqrt(_sq_sum(x))
-    if np.any(norm == 0.0):
-        return None
-    x *= (np.sqrt(energy) / norm)[..., None, None]
-    return np.reshape(x, shape)
-
-
 def _sq_sum(z, axes=2):
     """Sum of |z|^2 over the last `axes` axes of complex z, lane by lane, in one pass over
     its float view; each sum depends on its own lane's values alone."""
@@ -350,24 +337,6 @@ def _pareto_basis(hc, c, xs, total_energy):
     np.matmul(uh, q, out=p)
     np.matmul(uh, xs, out=q)
     return s, u, pq
-
-
-def _pareto_solver(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, total_energy: float):
-    """Check a trade-off instance once; return solve(rho), its design at weight rho.  For a stack
-    of instances solve(rho) returns their designs, each computed as alone (_min_in_basis lane by lane)."""
-    s, u, pq = _pareto_basis(hc, c, xs, total_energy)
-    p, q = np.split(pq, 2, axis=-2)
-
-    def solve(rho: float) -> np.ndarray:
-        rho = _check_rho(rho)
-        bt = rho * p
-        bt += (1.0 - rho) * q
-        x = _on_sphere(_min_in_basis(rho * s + (1.0 - rho), bt, total_energy), u, total_energy, q.shape)
-        if x is None:
-            raise ValueError(_UNREACHABLE)
-        return x
-
-    return solve
 
 
 def _pareto_scorer(hc, c, xs, total_energy):
@@ -428,9 +397,18 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
 
     Expanding the objective leaves tr(X^H A X) - 2 Re tr(X^H B) plus a
     constant, with A = rho Hc^H Hc + (1-rho) I and B = rho Hc^H C + (1-rho) Xs,
-    so the design is the sphere minimizer; this is a one-rho call of _pareto_solver.
+    so the design is the sphere minimizer, solved in the eigenbasis of Hc^H Hc (_pareto_basis).
+    A stack of instances gives their designs, each computed as alone (_min_in_basis lane by lane).
     """
-    return _pareto_solver(hc, c, xs, total_energy)(rho)
+    s, u, pq = _pareto_basis(hc, c, xs, total_energy)
+    rho = _check_rho(rho)
+    p, q = np.split(pq, 2, axis=-2)
+    bt = rho * p
+    bt += (1.0 - rho) * q
+    x = _min_in_basis(rho * s + (1.0 - rho), u, bt, total_energy, q.shape)
+    if x is None:
+        raise ValueError(_UNREACHABLE)
+    return x
 
 
 def _pareto_terms(hc, c, xs, x):

@@ -8,7 +8,8 @@ the sphere solve's secular sums overflow, which the strict xfail
 tests/test_cli.py::TestMain::test_tradeoff_metrics_scale_with_a_huge_block_energy[1e+300]
 pins.  At tiny energies the run exits 1 where it should not; the strict xfail below
 pins that.  capacity_sweep's mi_bits reads -inf or nan at extreme SNRs: the capacity
-property lets that one metric through, and a strict xfail below pins it.
+property lets that one metric through, and two strict xfails below pin it: the high-SNR
+cancellation and the overflow at the smallest noise variance.
 """
 
 import contextlib
@@ -151,6 +152,15 @@ def test_beam_scan_run_prints_finite_values_or_one_error_line(argv):
     "so trial 1's mi_bits reads -inf, the mean -inf and the std nan, with a RuntimeWarning"))
 def test_capacity_mi_bits_stay_finite_at_a_high_snr():
     check_run(["capacity_sweep", "--m", "1", "--trials", "3", "--seed", "41", "--power-list", "1e150"])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "H Q H^H / sigma^2 overflows at sigma^2 = 5e-324 before the log-det, so mi_bits reads nan next to a "
+    "finite comm_bits, with RuntimeWarnings: the slogdet of I + H Q H^H / sigma^2 that ROADMAP item 5 "
+    "replaces with the factor-domain log-det over the singular values of H F / sigma"))
+def test_capacity_mi_bits_stay_finite_at_the_smallest_noise_variance():
+    check_run(["capacity_sweep", "--m", "1", "--n-c", "1", "--noise-var", "5e-324", "--power-list", "5e-324",
+               "--trials", "1"])
 
 
 @pytest.mark.xfail(strict=True, reason=(

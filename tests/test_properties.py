@@ -42,7 +42,7 @@ from isacsim.cli import ScenarioConfig, run_scenario
 from isacsim.estimation import (_PRUNE_RTOL, _add_noise, _beam_search, _estimate_paths, _pair_scores, _probe_gains,
                                 _residual_energy)
 from isacsim.rng import complex_normal, philox_stream
-from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _on_sphere, _pareto_solver, _project_psd_trace
+from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _project_psd_trace
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -194,9 +194,9 @@ def test_sphere_solve_on_a_stack_gives_each_lane_its_own_solve(n, cols, kinds, s
     vals, vecs = np.linalg.eigh(np.stack([a for a, _ in problems]))
     bt = vecs.conj().swapaxes(-2, -1) @ np.stack([b for _, b in problems])
     energy = 10.0**exponent
-    x = _on_sphere(_min_in_basis(vals, bt, energy), vecs, energy, bt.shape)
+    x = _min_in_basis(vals, vecs, bt, energy, bt.shape)
     for i, (a, b) in enumerate(problems):
-        alone = _on_sphere(_min_in_basis(vals[i], bt[i], energy), vecs[i], energy, bt[i].shape)
+        alone = _min_in_basis(vals[i], vecs[i], bt[i], energy, bt[i].shape)
         assert np.array_equal(x[i], alone)
         assert_sphere_optimal(a, b, energy, x[i])
 
@@ -238,11 +238,11 @@ def test_shared_basis_solve_matches_a_direct_solve_at_every_rho(instance, grid, 
     hc, c, xs, _ = instance
     if past_ls:  # at rho = 1 with k < m this is the hard case
         energy += np.linalg.norm(np.linalg.pinv(hc) @ c) ** 2
-    solve = _pareto_solver(hc, c, xs, energy)
     for rho in [0.0, 1.0, *grid]:
         a = rho * (hc.conj().T @ hc) + (1.0 - rho) * np.eye(hc.shape[1])
         b = rho * (hc.conj().T @ c) + (1.0 - rho) * xs
-        assert_same_minimizer(a, b, energy, solve(rho), _min_on_sphere(a, b, energy), 1e-10)
+        assert_same_minimizer(a, b, energy, solve_pareto_tradeoff(hc, c, xs, rho, energy),
+                              _min_on_sphere(a, b, energy), 1e-10)
 
 
 def test_pareto_hard_case_certificate():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from isacsim import ConvergenceError, NoiseSpec, comm_capacity, optimize_weighted_mi, sensing_capacity
 from isacsim.capacity import _from_eigs, _psd_factor, _water_level
-from isacsim.waveform import _project_psd_trace, _weighted_mi
+from isacsim.waveform import _project_psd_trace, _weighted_mi_terms
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -39,8 +39,10 @@ def sequential_weighted_mi(hc, qh, rho, budget, noise, t, n_s, max_iter=10_000, 
     sens_norm = sensing_capacity(qh, n_s, t, budget, noise).bits_per_transmission if rho < 1 else 1.0
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
 
+    terms = _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm)[0]
+
     def objective(q):
-        return float(_weighted_mi(q, hc, f, rho, noise, t, n_s, comm_norm, sens_norm))
+        return float(terms(q)[0])
 
     hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
     eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)

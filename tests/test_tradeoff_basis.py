@@ -2,11 +2,11 @@
 
 `isac_tradeoff` scores each rho point from per-mode scalars of p = U^H Hc^H C and
 q = U^H Xs that the block draw builds once (`waveform._pareto_scorer`), and never
-forms the design.  `solve_pareto_tradeoff`, `_min_on_sphere` and the stacked
-`_pareto_solver` designs map the sphere solve's coordinates to antennas, then take
-the norm, then scale.  These tests hold the first to the public solve within
-rounding, the others to that order to the bit, and check that a CLI run neither
-forms a design nor scores one in antennas.
+forms the design.  `solve_pareto_tradeoff`, for one instance or a stack, and
+`_min_on_sphere` form it in `_min_in_basis`: they map the sphere solve's coordinates
+to antennas, then take the norm, then scale.  These tests hold the scored metrics to
+the public solve within rounding, the designs to that order to the bit, and check
+that a CLI run neither forms a design nor scores one in antennas.
 """
 
 from unittest import mock
@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from isacsim import cli, solve_pareto_tradeoff, waveform
 from isacsim.cli import ScenarioConfig, run_scenario
 from isacsim.rng import philox_stream
-from isacsim.waveform import (_min_in_basis, _min_on_sphere, _pareto_scorer, _pareto_solver, _pareto_terms,
-                              _secular_factors, _sq_sum)
+from isacsim.waveform import _min_on_sphere, _pareto_scorer, _pareto_terms, _secular_factors, _sq_sum
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -30,9 +29,15 @@ def cn(gen, *shape):
     return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def antenna_tail(coords, vecs, energy, shape):
-    """The design from the sphere solve's coordinates in the order the antenna-domain
-    solves keep: the product vecs @ coords, then the norm, then the scale."""
+def antenna_tail(vals, vecs, bt, energy, shape):
+    """A frozen copy of the sphere solve's design in the order the antenna-domain solves
+    keep: the coordinates, row i of bt times _secular_factors' d_i with the hard case's
+    fill on entry [0, 0], then the product vecs @ coords, then the norm, then the scale."""
+    factors, hard = _secular_factors(vals, _sq_sum(bt, 1), energy)
+    with np.errstate(invalid="ignore", over="ignore"):
+        coords = bt * factors[..., None]
+    if hard.any():
+        coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
     x = vecs @ coords
     norm = np.sqrt(_sq_sum(x))
     if np.any(norm == 0.0):
@@ -110,8 +115,8 @@ def test_pareto_designs_keep_the_antenna_tail_to_the_bit(stack):
     uh = u.conj().swapaxes(-2, -1)
     bt = rho * (uh @ (hh @ c))
     bt += (1.0 - rho) * (uh @ xs)
-    want = antenna_tail(_min_in_basis(rho * s + (1.0 - rho), bt, energy), u, energy, xs.shape)
-    assert np.array_equal(_pareto_solver(hc, c, xs, energy)(rho), want)
+    want = antenna_tail(rho * s + (1.0 - rho), u, bt, energy, xs.shape)
+    assert np.array_equal(solve_pareto_tradeoff(hc, c, xs, rho, energy), want)
     for i in range(len(hc)):
         assert np.array_equal(solve_pareto_tradeoff(hc[i], c[i], xs[i], rho, energy), want[i])
 
@@ -128,7 +133,7 @@ def test_sphere_solve_keeps_the_antenna_tail_to_the_bit(n, cols, kind, seed, exp
     b = hc.conj().T @ cn(gen, hc.shape[0], cols) if kind == "hard" else cn(gen, n, cols)
     energy = 10.0**exponent
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    want = antenna_tail(_min_in_basis(vals, vecs.conj().T @ b, energy), vecs, energy, b.shape)
+    want = antenna_tail(vals, vecs, vecs.conj().T @ b, energy, b.shape)
     assert np.array_equal(_min_on_sphere(a, b, energy), want)
 
 
@@ -136,14 +141,14 @@ def test_cli_run_never_maps_a_design_back_to_antennas(monkeypatch):
     # a two-block run scores every rho point from the per-mode scalars: no design is put on
     # the sphere and none is scored in antennas; the public solve puts its design there once
     calls = []
-    for name in ("_on_sphere", "_pareto_terms"):
+    for name in ("_min_in_basis", "_pareto_terms"):
         helper = getattr(waveform, name)
         monkeypatch.setattr(waveform, name, lambda *args, name=name, helper=helper: calls.append(name) or helper(*args))
     run_scenario(ScenarioConfig("isac_tradeoff", trials=cli.BLOCK_TRIALS + 1, seed=2))
     assert calls == []
     gen = np.random.default_rng(5)
     solve_pareto_tradeoff(cn(gen, 2, 4), cn(gen, 2, 8), cn(gen, 4, 8), 0.5, 8.0)
-    assert calls == ["_on_sphere"]
+    assert calls == ["_min_in_basis"]
 
 
 def test_scored_distance_is_not_negative_where_the_design_is_the_reference():
