@@ -26,6 +26,7 @@ class ConvergenceError(RuntimeError):
 
 
 _UNREACHABLE = "energy target unreachable from a zero stationary solution"
+_SETTLED = 1.0 + 2.0 * np.finfo(float).eps  # a secular Newton lane stops once psi / energy is at most this
 
 
 def _check_rho(rho: float) -> float:
@@ -253,10 +254,12 @@ def _secular_factors(vals, energies, energy):
     hard-case mask, from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane.
 
     X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2;
-    lam > -v_0 solves psi(lam) = energy by Newton's method
-    on phi = psi^{-1/2} - energy^{-1/2}, phi' = psi^{-3/2} sum_i e_i / (v_i + lam)^3.
+    lam > -v_0 solves psi(lam) = energy by Newton's method on phi = psi^{-1/2} - energy^{-1/2},
+    in ratio form over the weights e_i / energy: with t_i = (e_i / energy) / (v_i + lam)^2 and
+    r = sum_i t_i = psi / energy, the step -phi/phi' is (sqrt(r) - 1) / sum_i (t_i / r) / (v_i + lam),
+    and neither sum scales with the energy.
     phi is increasing and concave on (-v_0, inf), so from lam = -v_0 + 1e-13 * max|v_i|
-    (phi < 0) the iterates rise to the root without overshoot, until phi >= 0 or lam stalls.
+    (phi < 0) the iterates rise to the root without overshoot, until r <= 1 + 2 eps or lam stalls.
     lam is held as its offset from the pole, for relative precision there.  That start and
     the open-mode gap 1e-12 * max|v_i| both scale with A, so (cA, cB) gives the same X.
     If psi falls short at the start (the hard case, B nearly orthogonal to u_0), the open
@@ -269,27 +272,29 @@ def _secular_factors(vals, energies, energy):
     flat = scale == 0.0  # A = 0: X(lam) lies along B for every lam > 0, so take lam = 1
 
     def secular(offset):
-        """psi and sum_i e_i / (v_i + lam)^3 at lam = offset - v_0."""
+        """r and the ratio slope at lam = offset - v_0."""
         shifted = gaps + offset[..., None]
-        terms = energies / shifted**2
-        return terms.sum(axis=-1), (terms / shifted).sum(axis=-1)  # np.sum's add.reduce, without its dispatch
+        terms = weights / shifted**2
+        r = terms.sum(axis=-1)  # np.sum's add.reduce, without its dispatch
+        return r, (terms / shifted).sum(axis=-1) / r
 
-    offset = np.where(flat, 1.0, 1e-13 * scale)
-    psi, slope = secular(offset)
-    hard = ~flat & (psi < energy)
-    active = ~flat & ~hard
-    # the Newton step -phi/phi' is psi (sqrt(psi/energy) - 1) / slope; the cap is a backstop
-    # stopped lanes and closed modes may divide by 0, and a slope that underflows sends the step to inf
+    # stopped lanes and closed modes may divide by 0, and a sum past the float range stalls its
+    # lane where it is; the cap is a backstop
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weights = energies / energy
+        offset = np.where(flat, 1.0, 1e-13 * scale)
+        r, slope = secular(offset)
+        hard = ~flat & (r < 1.0)
+        active = ~flat & ~hard
         for _ in range(100):
             # np.sqrt, as ** 0.5 would take pow for one lane's scalar and sqrt for a stack
-            moved = offset + psi * (np.sqrt(psi / energy) - 1.0) / slope
+            moved = offset + (np.sqrt(r) - 1.0) / slope
             active &= moved > offset
             if not active.any():
                 break
             offset = np.where(active, moved, offset)
-            psi, slope = secular(offset)
-            active &= psi > energy
+            r, slope = secular(offset)
+            active &= r > _SETTLED
         # hard lanes: the open modes at lam = -v_0, the closed ones empty
         closed = hard[..., None] & (gaps <= 1e-12 * scale[..., None])
         return np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None])), hard
@@ -351,17 +356,20 @@ def _pareto_scorer(hc, c, xs, total_energy):
       ||coords||^2 = sum_i d_i^2 e_i + f^2;
     - ||X - Xs||^2 = sum_i ||gam_i p_i + (del_i - 1) q_i||^2, gam = rho g and del = (1-rho) g, is a
       2 x 2 quadratic form in (a_i, b_i, c_i), plus the fill's kappa f (kappa f - 2 Re q_00);
-    - Hc X - C = [Hc U diag(gam) | Hc U diag(del)] [p; q] - C is one stacked product.  Expanding
-      its norm in Gram scalars instead would cancel toward rho = 1, where it is near 0.
+    - Hc X - C = [Hc U diag(gam) | Hc U diag(del)] [p; q] - C is one stacked product over the k
+      range modes alone, plus the fill's kappa f Hc u_0: Hc has rank at most k, so the m - k lowest
+      modes are null vectors of Hc.  Its Gram expansion would cancel toward rho = 1, where it is near 0.
     """
     s, u, pq = _pareto_basis(hc, c, xs, total_energy)
-    m = s.shape[-1]
     hcu = hc @ u
-    hcu2 = np.concatenate((hcu, hcu), axis=-1)
+    k, m = hcu.shape[-2:]
+    hcu0 = hcu[..., 0].copy()  # Hc u_0 for the fill; the copies leave the points no view of hcu or pq
+    hcu2 = np.concatenate((hcu[..., m - k:], hcu[..., m - k:]), axis=-1)
+    pqr = np.concatenate((pq[..., m - k:m, :], pq[..., 2 * m - k:, :]), axis=-2)
     a, b = np.split(_sq_sum(pq, 1), 2, axis=-1)
     rows = pq.view(np.float64)
     cross = np.einsum("...i,...i->...", rows[..., :m, :], rows[..., m:, :])
-    q00 = pq[..., m, 0].real
+    q00 = pq[..., m, 0].real.copy()
     root = np.sqrt(total_energy)
 
     def score(rho: float):
@@ -381,12 +389,12 @@ def _pareto_scorer(hc, c, xs, total_energy):
         dm1 = dlt - 1.0
         # each mode's term is a squared norm, which rounding can take a hair below 0
         distance = np.maximum(gam * (gam * a + 2.0 * dm1 * cross) + dm1 * dm1 * b, 0.0).sum(axis=-1)
-        resid = (hcu2 * np.concatenate((gam, dlt), axis=-1)[..., None, :]) @ pq
+        resid = (hcu2 * np.concatenate((gam[..., m - k:], dlt[..., m - k:]), axis=-1)[..., None, :]) @ pqr
         resid -= c
         if hard.any():
             kf = kappa * fill
             distance += kf * (kf - 2.0 * q00)
-            resid[..., 0] += kf[..., None] * hcu[..., 0]
+            resid[..., 0] += kf[..., None] * hcu0
         return _sq_sum(resid), distance
 
     return score

@@ -5,8 +5,9 @@ q = U^H Xs that the block draw builds once (`waveform._pareto_scorer`), and neve
 forms the design.  `solve_pareto_tradeoff`, for one instance or a stack, and
 `_min_on_sphere` form it in `_min_in_basis`: they map the sphere solve's coordinates
 to antennas, then take the norm, then scale.  These tests hold the scored metrics to
-the public solve within rounding, the designs to that order to the bit, and check
-that a CLI run neither forms a design nor scores one in antennas.
+the public solve within rounding, on rank-deficient channels too, the designs to that order
+to the bit, the secular solve to its root at rounding level from E = 1e-300 to 1e300, and
+check that a CLI run neither forms a design nor scores one in antennas.
 """
 
 from unittest import mock
@@ -184,3 +185,99 @@ def test_scored_hard_case_off_the_null_space_matches_the_antenna_domain_design()
     for i in range(lanes):
         x = solve_pareto_tradeoff(hc[i], c[i], xs[i], 1.0, energy)
         np.testing.assert_allclose([interference[i], distance[i]], _pareto_terms(hc[i], c[i], xs[i], x), rtol=1e-10)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def secular_stacks(draw):
+    """Lanes of a secular solve, each an ascending spectrum with its mode energies: open
+    (mode 0 carries energy, so psi is far above E at the start), hard (no energy on mode 0 and
+    too little on the others, with mode 1 sometimes repeating mode 0) or flat (A = 0)."""
+    m, energy = draw(st.integers(1, 6)), 10.0 ** draw(st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0))
+    kinds = draw(st.lists(st.sampled_from(["open", "hard", "flat"]), min_size=1, max_size=5))
+    gen = np.random.default_rng(draw(seeds))
+    vals, energies = np.zeros((len(kinds), m)), np.zeros((len(kinds), m))
+    for lane, kind in enumerate(kinds):
+        weights = 10.0 ** gen.uniform(-2.0, 2.0, m)
+        if kind != "flat":
+            vals[lane] = np.sort(10.0 ** gen.uniform(-3.0, 3.0) * gen.standard_normal(m))
+        if kind == "hard":
+            if m > 1 and gen.random() < 0.5:
+                vals[lane, 1] = vals[lane, 0]
+            gaps = vals[lane] - vals[lane, 0]
+            # e_i / E at most (gap_i / 2)^2 / m on the open modes, so psi stays under E / 4 there
+            weights = np.where(gaps > 0.0, gen.uniform(0.0, 0.25, m) * gaps**2 / m, 0.0)
+        energies[lane] = energy * weights
+    return vals, energies, energy, kinds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(secular_stacks())
+def test_secular_solve_settles_at_rounding_level_over_the_float_range(stack):
+    vals, energies, energy, kinds = stack
+    factors, hard = _secular_factors(vals, energies, energy)
+    for lane, kind in enumerate(kinds):
+        alone = _secular_factors(vals[lane], energies[lane], energy)
+        assert np.array_equal(factors[lane], alone[0]) and hard[lane] == alone[1]
+        gaps = vals[lane] - vals[lane, 0]
+        if kind == "open":  # psi(lam) = E to within the 2 eps stop and the test's own rounding
+            assert not hard[lane]
+            psi = (factors[lane] ** 2 * energies[lane]).sum() / energy
+            assert abs(psi - 1.0) <= 8 * vals.shape[1] * EPS, psi
+        elif kind == "hard":  # the open modes at lam = -v_0, the closed ones empty
+            assert hard[lane]
+            closed = gaps <= 1e-12 * np.max(np.abs(vals[lane]))
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(factors[lane], np.where(closed, 0.0, 1.0 / gaps))
+        else:  # A = 0: lam = 1, X along B
+            assert not hard[lane] and np.array_equal(factors[lane], np.ones(vals.shape[1]))
+
+
+def test_scored_metrics_scale_with_the_instance_from_1e_300_to_1e300():
+    # scaling C and Xs by sqrt(p) and E by p scales X by sqrt(p) and every metric by p; the
+    # CLI draws C at unit power whatever p_t, so its own metrics are not homogeneous in p_t.
+    # No rho near 1 here: at p = 1e-300 its null modes' energies (1-rho)^2 b_i are subnormal
+    cfg = ScenarioConfig("isac_tradeoff", m=6, k=2, t=8, trials=3, seed=12)
+    instances = []
+    with mock.patch.object(cli, "_pareto_scorer", lambda *args: instances.append(args) or _pareto_scorer(*args)):
+        cli._tradeoff_trial(cfg, range(3), [philox_stream(12, stream=i) for i in range(3)])
+    (hc, c, xs, energy), = instances
+    points = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0)
+
+    def scaled(p):
+        score = _pareto_scorer(hc, np.sqrt(p) * c, np.sqrt(p) * xs, p * energy)
+        return np.array([score(rho) for rho in points]) / p
+
+    want = scaled(1e-100)
+    atol = 1e-12 * (_sq_sum(c) + energy)[None, None, :]
+    for exponent in range(-300, 301, 25):
+        np.testing.assert_array_less(np.abs(scaled(10.0**exponent) - want), 1e-12 * np.abs(want) + atol)
+
+
+@PROPERTY
+@given(st.integers(2, 6).flatmap(lambda m: st.integers(2, m).flatmap(
+           lambda k: st.tuples(st.just(m), st.just(k), st.integers(1, k - 1)))),
+       st.integers(1, 4), st.integers(1, 4), st.floats(-3.0, 3.0), st.booleans(), seeds)
+@example((6, 4, 1), 3, 2, 1.0, True, 7)  # a rank-one Hc past its least-squares energy
+@example((4, 4, 2), 2, 3, 0.0, True, 1)  # k = m: every null mode lies among the k kept
+def test_scored_metrics_on_a_rank_deficient_channel_match_the_antenna_domain_design(
+        mkr, t, lanes, exponent, past_ls, seed):
+    # Hc of rank r < k, a k x r by r x m product: the range-mode product keeps the last k modes,
+    # which then include k - r null ones
+    m, k, r = mkr
+    gen = np.random.default_rng(seed)
+    hc = cn(gen, lanes, k, r) @ cn(gen, lanes, r, m)
+    c, xs = cn(gen, lanes, k, t), cn(gen, lanes, m, t)
+    energy = 10.0**exponent
+    if past_ls:  # at rho = 1 the hard case, or a root next to the pole
+        energy += max(np.linalg.norm(np.linalg.pinv(h) @ s) ** 2 for h, s in zip(hc, c))
+    score = _pareto_scorer(hc, c, xs, energy)
+    for rho in (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0):
+        interference, distance = score(rho)
+        for i in range(lanes):
+            x = solve_pareto_tradeoff(hc[i], c[i], xs[i], rho, energy)
+            atol = 1e-12 * (float(_sq_sum(c[i])) + energy)
+            for got, want in zip((interference[i], distance[i]), _pareto_terms(hc[i], c[i], xs[i], x)):
+                assert abs(got - want) <= 1e-12 * abs(want) + atol, (rho, i, got, want)
