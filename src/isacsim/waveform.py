@@ -234,10 +234,10 @@ def _min_on_sphere(a: np.ndarray, b: np.ndarray, energy: float):
 def _min_in_basis(vals, vecs, bt, energy, shape):
     """That minimizer X, in `shape`, for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B,
     or for each lane of stacks vals[..., :], vecs and bt[..., :, :] at once: row i of bt times
-    _secular_factors' d_i, the hard case's fill along u_0, then X = vecs @ coords, its norm and
-    the scale to norm sqrt(energy).  None when X is zero in some lane."""
-    factors, hard = _secular_factors(vals, _sq_sum(bt, 1), energy)
-    with np.errstate(invalid="ignore", over="ignore"):  # a factor is huge, or inf where the start offset underflows
+    _secular_factors' factor i, the hard case's fill along u_0, then X = vecs @ coords, its norm
+    and the scale to norm sqrt(energy).  None when X is zero in some lane."""
+    factors, hard, _ = _secular_factors(vals, _sq_sum(bt, 1), energy)
+    with np.errstate(invalid="ignore", over="ignore"):  # a hard lane's 1 / gap_i overflows where A is tiny
         coords = bt * factors[..., None]
     if hard.any():
         coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
@@ -250,22 +250,31 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
 
 
 def _secular_factors(vals, energies, energy):
-    """The sphere solve's per-mode factors d_i = 1 / (v_i + lam), 0 on closed modes, and the
-    hard-case mask, from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane.
+    """The sphere solve's per-mode factors, the hard-case mask and the root's offset lam + v_0,
+    from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane.  The factors
+    are d_i = 1 / (v_i + lam) times lam + v_0 (so mode 0's is 1) on open lanes, 1 on flat ones
+    and d_i itself, 0 on closed modes, on hard ones: the callers scale open and flat lanes
+    to the sphere, and fill a hard lane's deficit along u_0 in absolute units.
 
     X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2;
     lam > -v_0 solves psi(lam) = energy by Newton's method on phi = psi^{-1/2} - energy^{-1/2},
-    in ratio form over the weights e_i / energy: with t_i = (e_i / energy) / (v_i + lam)^2 and
+    in ratio form over the weights w_i = e_i / energy: with t_i = (sqrt(w_i) / (v_i + lam))^2 and
     r = sum_i t_i = psi / energy, the step -phi/phi' is (sqrt(r) - 1) / sum_i (t_i / r) / (v_i + lam),
-    and neither sum scales with the energy.
-    phi is increasing and concave on (-v_0, inf), so from lam = -v_0 + 1e-13 * max|v_i|
-    (phi < 0) the iterates rise to the root without overshoot, until r <= 1 + 2 eps or lam stalls.
-    lam is held as its offset from the pole, for relative precision there.  That start and
-    the open-mode gap 1e-12 * max|v_i| both scale with A, so (cA, cB) gives the same X.
-    If psi falls short at the start (the hard case, B nearly orthogonal to u_0), the open
+    and neither sum scales with the energy.  sqrt(w_i) is taken as sqrt(e_i) / sqrt(energy),
+    which stays finite where w_i itself would overflow.
+    phi is increasing and concave on (-v_0, inf), so from a start below the root the iterates
+    rise to it without overshoot, until r <= 1 + 2 eps or lam stalls.  The start is
+    lam + v_0 = 1e-13 * max|v_i| or, if larger, sqrt(sum_i w_i) - (v_max - v_0), which psi
+    >= sum_i e_i / (v_max + lam)^2 puts below the root: there each t_i is at most about 4e26.
+    lam is held as its offset from the pole, for relative precision there.  Both starts and
+    the open-mode gap 1e-12 * max|v_i| scale by c under (cA, cB), which gives the same X.
+    If psi falls short at the pole start (the hard case, B nearly orthogonal to u_0), the open
     modes take lam = -v_0, the closed ones 0, and the caller fills the deficit along u_0.
-    For A = 0, X lies along B.  Every lane steps, stops and takes its case on its own, from
-    its own arithmetic alone, so a lane's X does not depend on the other lanes.
+    For A = 0, X lies along B.  A lane whose start sums are not finite (A below about 1e-295
+    with weights small enough to start at the pole, sum_i e_i past the float range, or e_i / E
+    past about 1e616) gets zero factors, which its caller refuses.  Every lane steps, stops
+    and takes its case on its own, from its own arithmetic alone, so a lane's X does not
+    depend on the other lanes.
     """
     gaps = vals - vals[..., :1]
     scale = np.max(np.abs(vals), axis=-1)
@@ -274,19 +283,23 @@ def _secular_factors(vals, energies, energy):
     def secular(offset):
         """r and the ratio slope at lam = offset - v_0."""
         shifted = gaps + offset[..., None]
-        terms = weights / shifted**2
+        terms = (roots / shifted) ** 2
         r = terms.sum(axis=-1)  # np.sum's add.reduce, without its dispatch
         return r, (terms / shifted).sum(axis=-1) / r
 
-    # stopped lanes and closed modes may divide by 0, and a sum past the float range stalls its
-    # lane where it is; the cap is a backstop
+    # stopped lanes and closed modes may divide by 0, and a lost lane's sums are inf or nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weights = energies / energy
-        offset = np.where(flat, 1.0, 1e-13 * scale)
+        root = np.sqrt(energy)
+        roots = np.sqrt(energies) / root
+        pole = 1e-13 * scale
+        lower = np.sqrt(energies.sum(axis=-1)) / root - gaps[..., -1]
+        offset = np.where(flat, 1.0, np.maximum(pole, lower))  # nan where lower is
         r, slope = secular(offset)
-        hard = ~flat & (r < 1.0)
-        active = ~flat & ~hard
-        for _ in range(100):
+        hard = (r < 1.0) & (offset == pole)  # never flat: a flat lane's pole is 0, its offset 1
+        unsolved = ~(flat | hard)
+        active = unsolved & np.isfinite(slope)  # slope is nan wherever r is not finite
+        lost = unsolved & ~active
+        for _ in range(100):  # a backstop: each step gains at least (sqrt(r) - 1) * offset
             # np.sqrt, as ** 0.5 would take pow for one lane's scalar and sqrt for a stack
             moved = offset + (np.sqrt(r) - 1.0) / slope
             active &= moved > offset
@@ -296,8 +309,10 @@ def _secular_factors(vals, energies, energy):
             r, slope = secular(offset)
             active &= r > _SETTLED
         # hard lanes: the open modes at lam = -v_0, the closed ones empty
-        closed = hard[..., None] & (gaps <= 1e-12 * scale[..., None])
-        return np.where(closed, 0.0, 1.0 / (gaps + np.where(hard, 0.0, offset)[..., None])), hard
+        empty = lost[..., None] | hard[..., None] & (gaps <= 1e-12 * scale[..., None])
+        offset = np.where(hard, 0.0, offset)
+        factors = np.where(hard, 1.0, offset)[..., None] / (gaps + offset[..., None])
+        return np.where(empty, 0.0, factors), hard, offset
 
 
 def _sq_sum(z, axes=2):
@@ -349,8 +364,8 @@ def _pareto_scorer(hc, c, xs, total_energy):
     ||Hc X - C||_F^2 and ||X - Xs||_F^2 of each lane's design X at weight rho, never forming X.
 
     In U's basis, row i of X is g_i (rho p_i + (1-rho) q_i), with g_i = kappa d_i for
-    _secular_factors' d_i and kappa = sqrt(E) / ||coords||, plus in the hard case the fill f on
-    entry [0, 0], where mode 0 is closed.  So a point needs only the per-mode scalars
+    _secular_factors' factors d_i and kappa = sqrt(E) / ||coords||, plus in the hard case the
+    fill f on entry [0, 0], where mode 0 is closed.  So a point needs only the per-mode scalars
     a_i = ||p_i||^2, b_i = ||q_i||^2 and c_i = Re<p_i, q_i>, built here once:
     - row i's energy is rho^2 a_i + 2 rho (1-rho) c_i + (1-rho)^2 b_i, and
       ||coords||^2 = sum_i d_i^2 e_i + f^2;
@@ -376,7 +391,7 @@ def _pareto_scorer(hc, c, xs, total_energy):
         rho = _check_rho(rho)
         # at rho = 0 and 1 these are _sq_sum(bt, 1) to the bit
         energies = rho * rho * a + 2.0 * rho * (1.0 - rho) * cross + (1.0 - rho) ** 2 * b
-        factors, hard = _secular_factors(rho * s + (1.0 - rho), energies, total_energy)
+        factors, hard, _ = _secular_factors(rho * s + (1.0 - rho), energies, total_energy)
         norm2 = (factors * factors * energies).sum(axis=-1)
         if hard.any():
             fill = np.where(hard, np.sqrt(np.maximum(total_energy - norm2, 0.0)), 0.0)

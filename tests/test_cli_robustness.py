@@ -102,7 +102,7 @@ def check_run(argv, defect=None):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(tradeoff_argv())
-@example(["isac_tradeoff", "--p-t", "1e-250", "--trials", "1"])  # the tiny-energy refusal
+@example(["isac_tradeoff", "--p-t", "1e-250", "--trials", "1"])  # a tiny block energy, solved in ratio form
 @example(["isac_tradeoff", "--m", "6", "--k", "1", "--t", "12", "--p-t", "1e250", "--noise-var", "5e-324",
           "--rho-list", "0,0.01,0.99,1", "--trials", "3"])
 def test_tradeoff_run_prints_finite_values_or_one_error_line(argv):

@@ -293,8 +293,8 @@ def test_tradeoff_at_a_tiny_noise_variance_runs(capsys):
 
 
 def test_tradeoff_at_the_smallest_block_energy_runs_silently():
-    # e_i / E overflows to inf at E = 5e-324 and stalls the Newton lane at its start, where a
-    # single mode's design, rescaled to the sphere, is already the solution; that stays silent
+    # e_i / E overflows at E = 5e-324, but sqrt(e_i) / sqrt(E) does not: the lane starts at its
+    # root's lower bound, and its factor, relative to mode 0's, keeps the scale off ||X||^2 ~ E
     env = dict(os.environ, PYTHONPATH=str(Path(isacsim.__file__).parents[1]))
     env.pop("PYTHONWARNINGS", None)
     run = subprocess.run(

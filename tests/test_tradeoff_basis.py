@@ -6,13 +6,16 @@ forms the design.  `solve_pareto_tradeoff`, for one instance or a stack, and
 `_min_on_sphere` form it in `_min_in_basis`: they map the sphere solve's coordinates
 to antennas, then take the norm, then scale.  These tests hold the scored metrics to
 the public solve within rounding, on rank-deficient channels too, the designs to that order
-to the bit, the secular solve to its root at rounding level from E = 1e-300 to 1e300, and
-check that a CLI run neither forms a design nor scores one in antennas.
+to the bit, and the secular solve to its root at rounding level for E from 1e-300 to 1e300
+and weights e_i / E up to about 1e600, or its lane refused past the float range.  At a tiny
+energy the design lies along B, in a CLI run too, and no CLI run forms a design or scores
+one in antennas.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +35,9 @@ def cn(gen, *shape):
 
 def antenna_tail(vals, vecs, bt, energy, shape):
     """A frozen copy of the sphere solve's design in the order the antenna-domain solves
-    keep: the coordinates, row i of bt times _secular_factors' d_i with the hard case's
+    keep: the coordinates, row i of bt times _secular_factors' factor i with the hard case's
     fill on entry [0, 0], then the product vecs @ coords, then the norm, then the scale."""
-    factors, hard = _secular_factors(vals, _sq_sum(bt, 1), energy)
+    factors, hard, _ = _secular_factors(vals, _sq_sum(bt, 1), energy)
     with np.errstate(invalid="ignore", over="ignore"):
         coords = bt * factors[..., None]
     if hard.any():
@@ -194,13 +197,16 @@ EPS = np.finfo(float).eps
 def secular_stacks(draw):
     """Lanes of a secular solve, each an ascending spectrum with its mode energies: open
     (mode 0 carries energy, so psi is far above E at the start), hard (no energy on mode 0 and
-    too little on the others, with mode 1 sometimes repeating mode 0) or flat (A = 0)."""
-    m, energy = draw(st.integers(1, 6)), 10.0 ** draw(st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0))
+    too little on the others, with mode 1 sometimes repeating mode 0) or flat (A = 0).  The
+    open lanes' weights e_i / E run from about 1e-2 to 1e2 times 10^lift, where lift goes up to
+    300 - log10(E): so e_i of order 1 beside E down to 1e-300, and e_i / E up to about 1e600."""
+    m, exponent = draw(st.integers(1, 6)), draw(st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0))
+    lift = (300.0 - exponent) * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     kinds = draw(st.lists(st.sampled_from(["open", "hard", "flat"]), min_size=1, max_size=5))
     gen = np.random.default_rng(draw(seeds))
     vals, energies = np.zeros((len(kinds), m)), np.zeros((len(kinds), m))
     for lane, kind in enumerate(kinds):
-        weights = 10.0 ** gen.uniform(-2.0, 2.0, m)
+        exponents = exponent + lift + gen.uniform(-2.0, 2.0, m)
         if kind != "flat":
             vals[lane] = np.sort(10.0 ** gen.uniform(-3.0, 3.0) * gen.standard_normal(m))
         if kind == "hard":
@@ -208,31 +214,80 @@ def secular_stacks(draw):
                 vals[lane, 1] = vals[lane, 0]
             gaps = vals[lane] - vals[lane, 0]
             # e_i / E at most (gap_i / 2)^2 / m on the open modes, so psi stays under E / 4 there
-            weights = np.where(gaps > 0.0, gen.uniform(0.0, 0.25, m) * gaps**2 / m, 0.0)
-        energies[lane] = energy * weights
-    return vals, energies, energy, kinds
+            with np.errstate(divide="ignore"):
+                exponents = exponent + np.log10(np.where(gaps > 0.0, gen.uniform(0.0, 0.25, m) * gaps**2 / m, 0.0))
+        energies[lane] = 10.0**exponents
+    return vals, energies, 10.0**exponent, kinds
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(secular_stacks())
 def test_secular_solve_settles_at_rounding_level_over_the_float_range(stack):
     vals, energies, energy, kinds = stack
-    factors, hard = _secular_factors(vals, energies, energy)
+    factors, hard, offset = _secular_factors(vals, energies, energy)
     for lane, kind in enumerate(kinds):
         alone = _secular_factors(vals[lane], energies[lane], energy)
-        assert np.array_equal(factors[lane], alone[0]) and hard[lane] == alone[1]
+        assert np.array_equal(factors[lane], alone[0]) and hard[lane] == alone[1] and offset[lane] == alone[2]
         gaps = vals[lane] - vals[lane, 0]
         if kind == "open":  # psi(lam) = E to within the 2 eps stop and the test's own rounding
-            assert not hard[lane]
-            psi = (factors[lane] ** 2 * energies[lane]).sum() / energy
+            assert not hard[lane] and factors[lane, 0] == 1.0
+            # sum_i d_i^2 e_i / E with d_i = factor_i / (lam + v_0), in an order that cannot overflow
+            psi = np.sum((factors[lane] * np.sqrt(energies[lane]) / (offset[lane] * np.sqrt(energy))) ** 2)
             assert abs(psi - 1.0) <= 8 * vals.shape[1] * EPS, psi
         elif kind == "hard":  # the open modes at lam = -v_0, the closed ones empty
-            assert hard[lane]
+            assert hard[lane] and offset[lane] == 0.0
             closed = gaps <= 1e-12 * np.max(np.abs(vals[lane]))
             with np.errstate(divide="ignore"):
                 assert np.array_equal(factors[lane], np.where(closed, 0.0, 1.0 / gaps))
         else:  # A = 0: lam = 1, X along B
-            assert not hard[lane] and np.array_equal(factors[lane], np.ones(vals.shape[1]))
+            assert not hard[lane] and offset[lane] == 1.0
+            assert np.array_equal(factors[lane], np.ones(vals.shape[1]))
+
+
+def test_secular_lanes_past_the_float_range_are_refused():
+    # a lane whose start sums are not finite gets zero factors, and the sphere solve then
+    # returns no design, while a normal lane beside it keeps its own: A near 1e-296 with
+    # weights small enough to start at the pole overflows the slope there, and e_i / E near
+    # 1e624 overflows sqrt(e_i) / sqrt(E)
+    tiny, normal = np.array([1e-296, 2e-296, 3e-296]), np.array([1.0, 2.0, 3.0])
+    for vals, energies, energy in (((tiny, normal), ((1e-305, 0.0, 0.0), (1e307, 1e307, 1e307)), 1e308),
+                                   ((normal, normal), ((1.0, 1.0, 1e300), (1.0, 2.0, 3.0)), 5e-324)):
+        factors, hard, _ = _secular_factors(np.array(vals), np.array(energies), energy)
+        assert not hard.any() and np.all(factors[0] == 0.0) and np.all(factors[1] > 0.0)
+    assert _min_on_sphere(np.diag(tiny), np.array([[np.sqrt(1e-305)], [0.0], [0.0]]), 1e308) is None
+
+
+@pytest.mark.parametrize("energy", [1e-250, 1e-280, 1e-300, 1e-310, 5e-324])
+def test_sphere_solve_at_a_tiny_energy_lies_along_b(energy):
+    # sqrt(sum_i e_i / E) dwarfs the spectrum, so the root's offset does too and X is
+    # B sqrt(E) / ||B|| to rounding; a Newton start at the pole stalled there at E <= 1e-280
+    b = np.random.default_rng(1).standard_normal((3, 2))
+    x = _min_on_sphere(np.diag([1.0, 2.0, 3.0]), b, energy)
+    np.testing.assert_allclose(x / np.sqrt(energy), b / np.linalg.norm(b), rtol=1e-15, atol=1e-15)
+
+
+def test_cli_run_at_a_tiny_block_energy_scores_the_design_along_b(capsys):
+    # at p_t 1e-280, sqrt(sum_i e_i / E) near 1e140 dwarfs the spectrum, so the design is
+    # B sqrt(E) / ||B||, B = rho Hc^H C + (1 - rho) Xs, to rounding.  The small noise variance
+    # keeps Xs at energy E, so the distance 2E - 2 Re<X, Xs> reads X's direction.  With k = m,
+    # mode 0 carries e_0 / E near 1e280, where a Newton lane started at the pole overflowed
+    # its slope and stalled there, exiting 0 with a design near mode 0
+    argv = ["isac_tradeoff", "--m", "4", "--k", "4", "--t", "6", "--p-t", "1e-280", "--noise-var", "1e-300",
+            "--rho-list", "1e-9,0.5,1", "--trials", "3", "--seed", "5"]
+    instances = []
+    with mock.patch.object(cli, "_pareto_scorer", lambda *args: instances.append(args) or _pareto_scorer(*args)):
+        assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = {tuple(row.split(",")[2:5]): float(row.split(",")[5]) for row in captured.out.splitlines()[1:]}
+    (hc, c, xs, energy), = instances
+    assert np.all(np.abs(_sq_sum(xs) / energy - 1.0) < 1e-12)
+    for rho in (1e-9, 0.5, 1.0):
+        for i in range(3):
+            b = rho * hc[i].conj().T @ c[i] + (1.0 - rho) * xs[i]
+            want = _pareto_terms(hc[i], c[i], xs[i], np.sqrt(energy) * b / np.linalg.norm(b))
+            got = rows[str(rho), str(i), "interference_power"], rows[str(rho), str(i), "waveform_distance"]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_scored_metrics_scale_with_the_instance_from_1e_300_to_1e300():
