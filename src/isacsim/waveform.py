@@ -251,34 +251,36 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
 
 def _secular_factors(vals, energies, energy):
     """The sphere solve's per-mode factors, the hard-case mask and the root's offset lam + v_0,
-    from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane.  The factors
-    are d_i = 1 / (v_i + lam) times lam + v_0 (so mode 0's is 1) on open lanes, 1 on flat ones
-    and d_i itself, 0 on closed modes, on hard ones: the callers scale open and flat lanes
-    to the sphere, and fill a hard lane's deficit along u_0 in absolute units.
+    from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane, for one energy
+    or one per lane.  The factors are d_i = 1 / (v_i + lam) times lam + v_0 (so mode 0's is 1)
+    on open lanes, 1 on flat ones and d_i itself, 0 on closed modes, on hard ones: the callers
+    scale open and flat lanes to the sphere, and fill a hard lane's deficit along u_0 in absolute units.
 
     X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2;
     lam > -v_0 solves psi(lam) = energy by Newton's method on phi = psi^{-1/2} - energy^{-1/2},
     in ratio form over the weights w_i = e_i / energy: with t_i = (sqrt(w_i) / (v_i + lam))^2 and
     r = sum_i t_i = psi / energy, the step -phi/phi' is (sqrt(r) - 1) / sum_i (t_i / r) / (v_i + lam),
     and neither sum scales with the energy.  sqrt(w_i) is taken as sqrt(e_i) / sqrt(energy),
-    which stays finite where w_i itself would overflow.
+    which stays finite where w_i itself would overflow.  Modes within the closed-mode gap
+    1e-12 * max|v_i| of v_0 sit at v_0 in these sums, so a repeated v_0 that rounding
+    scattered solves the equation of its modes pooled into one.
     phi is increasing and concave on (-v_0, inf), so from a start below the root the iterates
     rise to it without overshoot, until r <= 1 + 2 eps or lam stalls.  The start is
-    lam + v_0 = 1e-13 * max|v_i| or, if larger, sqrt(sum_i w_i) - (v_max - v_0), which psi
-    >= sum_i e_i / (v_max + lam)^2 puts below the root: there each t_i is at most about 4e26.
-    lam is held as its offset from the pole, for relative precision there.  Both starts and
-    the open-mode gap 1e-12 * max|v_i| scale by c under (cA, cB), which gives the same X.
+    lam + v_0 = 1e-13 * max|v_i| or, if larger, max_j sqrt(sum_{i<=j} w_i) - (v_j - v_0): since
+    psi >= sum_{i<=j} e_i / (v_j + lam)^2, each is below the root, and there each t_i is at
+    most about 4e26.  lam is held as its offset from the pole, for relative precision there.
+    Both starts and the gaps scale by c under (cA, cB), which gives the same X.
     If psi falls short at the pole start (the hard case, B nearly orthogonal to u_0), the open
     modes take lam = -v_0, the closed ones 0, and the caller fills the deficit along u_0.
     For A = 0, X lies along B.  A lane whose start sums are not finite (A below about 1e-295
-    with weights small enough to start at the pole, sum_i e_i past the float range, or e_i / E
-    past about 1e616) gets zero factors, which its caller refuses.  Every lane steps, stops
-    and takes its case on its own, from its own arithmetic alone, so a lane's X does not
-    depend on the other lanes.
+    started at the pole, sum_i e_i past the float range, or e_i / E past about 1e616) gets zero
+    factors, which its caller refuses.  Every lane steps, stops and takes its case on its own,
+    from its own arithmetic alone, so a lane's X does not depend on the other lanes.
     """
-    gaps = vals - vals[..., :1]
     scale = np.max(np.abs(vals), axis=-1)
     flat = scale == 0.0  # A = 0: X(lam) lies along B for every lam > 0, so take lam = 1
+    gaps = vals - vals[..., :1]
+    gaps = np.where(gaps <= 1e-12 * scale[..., None], 0.0, gaps)
 
     def secular(offset):
         """r and the ratio slope at lam = offset - v_0."""
@@ -289,10 +291,10 @@ def _secular_factors(vals, energies, energy):
 
     # stopped lanes and closed modes may divide by 0, and a lost lane's sums are inf or nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = np.sqrt(energy)
+        root = np.sqrt(energy)[..., None]
         roots = np.sqrt(energies) / root
         pole = 1e-13 * scale
-        lower = np.sqrt(energies.sum(axis=-1)) / root - gaps[..., -1]
+        lower = (np.sqrt(energies.cumsum(axis=-1)) / root - gaps).max(axis=-1)
         offset = np.where(flat, 1.0, np.maximum(pole, lower))  # nan where lower is
         r, slope = secular(offset)
         hard = (r < 1.0) & (offset == pole)  # never flat: a flat lane's pole is 0, its offset 1
@@ -309,7 +311,7 @@ def _secular_factors(vals, energies, energy):
             r, slope = secular(offset)
             active &= r > _SETTLED
         # hard lanes: the open modes at lam = -v_0, the closed ones empty
-        empty = lost[..., None] | hard[..., None] & (gaps <= 1e-12 * scale[..., None])
+        empty = lost[..., None] | hard[..., None] & (gaps == 0.0)
         offset = np.where(hard, 0.0, offset)
         factors = np.where(hard, 1.0, offset)[..., None] / (gaps + offset[..., None])
         return np.where(empty, 0.0, factors), hard, offset
@@ -374,6 +376,10 @@ def _pareto_scorer(hc, c, xs, total_energy):
     - Hc X - C = [Hc U diag(gam) | Hc U diag(del)] [p; q] - C is one stacked product over the k
       range modes alone, plus the fill's kappa f Hc u_0: Hc has rank at most k, so the m - k lowest
       modes are null vectors of Hc.  Its Gram expansion would cancel toward rho = 1, where it is near 0.
+    Those null modes share v_0 and so one factor, and every quadratic form above is linear in the
+    scalars: they are pooled into one mode at s_0, so each point solves k + 1 modes (m when k = m).
+    The scalars, E and the fill are in units of each lane's largest a_i or b_i, so no mode's energy
+    is subnormal where the instance is merely small; the distance and the fill are scaled back.
     """
     s, u, pq = _pareto_basis(hc, c, xs, total_energy)
     hcu = hc @ u
@@ -381,20 +387,29 @@ def _pareto_scorer(hc, c, xs, total_energy):
     hcu0 = hcu[..., 0].copy()  # Hc u_0 for the fill; the copies leave the points no view of hcu or pq
     hcu2 = np.concatenate((hcu[..., m - k:], hcu[..., m - k:]), axis=-1)
     pqr = np.concatenate((pq[..., m - k:m, :], pq[..., 2 * m - k:, :]), axis=-2)
-    a, b = np.split(_sq_sum(pq, 1), 2, axis=-1)
-    rows = pq.view(np.float64)
-    cross = np.einsum("...i,...i->...", rows[..., :m, :], rows[..., m:, :])
-    q00 = pq[..., m, 0].real.copy()
-    root = np.sqrt(total_energy)
+    unit = _sq_sum(pq, 1).max(axis=-1)
+    unit += unit == 0.0  # C = Xs = 0: every scalar is 0 in any unit
+    root_unit = np.sqrt(unit)
+    rows, per_unit = pq.view(np.float64), (1.0 / unit)[..., None]
+    # einsum multiplies its operands left to right, so each term is (x / unit) y: no product of
+    # two small entries goes subnormal, and no pass rewrites or copies [p; q]
+    norms = np.einsum("...i,...,...i->...", rows, per_unit, rows)
+    cross = np.einsum("...i,...,...i->...", rows[..., :m, :], per_unit, rows[..., m:, :])
+    lo = max(m - k, 1)  # modes 0 .. lo - 1 pool into mode 0
+    a, b, cross = (np.concatenate((x[..., :lo].sum(axis=-1, keepdims=True), x[..., lo:]), axis=-1)
+                   for x in (*np.split(norms, 2, axis=-1), cross))
+    s = np.concatenate((s[..., :1], s[..., lo:]), axis=-1)
+    q00 = rows[..., m, 0] / root_unit
+    energy = total_energy / unit
+    root = np.sqrt(energy)
 
     def score(rho: float):
         rho = _check_rho(rho)
-        # at rho = 0 and 1 these are _sq_sum(bt, 1) to the bit
         energies = rho * rho * a + 2.0 * rho * (1.0 - rho) * cross + (1.0 - rho) ** 2 * b
-        factors, hard, _ = _secular_factors(rho * s + (1.0 - rho), energies, total_energy)
+        factors, hard, _ = _secular_factors(rho * s + (1.0 - rho), energies, energy)
         norm2 = (factors * factors * energies).sum(axis=-1)
         if hard.any():
-            fill = np.where(hard, np.sqrt(np.maximum(total_energy - norm2, 0.0)), 0.0)
+            fill = np.where(hard, np.sqrt(np.maximum(energy - norm2, 0.0)), 0.0)
             norm2 += fill * fill
         if np.any(norm2 == 0.0):
             raise ValueError(_UNREACHABLE)
@@ -404,13 +419,13 @@ def _pareto_scorer(hc, c, xs, total_energy):
         dm1 = dlt - 1.0
         # each mode's term is a squared norm, which rounding can take a hair below 0
         distance = np.maximum(gam * (gam * a + 2.0 * dm1 * cross) + dm1 * dm1 * b, 0.0).sum(axis=-1)
-        resid = (hcu2 * np.concatenate((gam[..., m - k:], dlt[..., m - k:]), axis=-1)[..., None, :]) @ pqr
+        resid = (hcu2 * np.concatenate((gam[..., -k:], dlt[..., -k:]), axis=-1)[..., None, :]) @ pqr
         resid -= c
         if hard.any():
             kf = kappa * fill
             distance += kf * (kf - 2.0 * q00)
-            resid[..., 0] += kf[..., None] * hcu0
-        return _sq_sum(resid), distance
+            resid[..., 0] += (kf * root_unit)[..., None] * hcu0
+        return _sq_sum(resid), distance * unit
 
     return score
 

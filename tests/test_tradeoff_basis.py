@@ -155,6 +155,19 @@ def test_cli_run_never_maps_a_design_back_to_antennas(monkeypatch):
     assert calls == ["_min_in_basis"]
 
 
+@pytest.mark.parametrize("m, k", [(6, 1), (16, 4), (5, 4), (4, 4)])
+def test_scorer_solves_k_plus_one_modes(m, k):
+    # Hc's m - k null modes share one secular factor, so each point pools them into one mode;
+    # with k = m there are none and the point solves all m
+    gen = np.random.default_rng(2)
+    shapes, secular = [], waveform._secular_factors
+    with mock.patch.object(waveform, "_secular_factors", lambda *args: shapes.append(args[1].shape) or secular(*args)):
+        score = _pareto_scorer(cn(gen, 3, k, m), cn(gen, 3, k, 5), cn(gen, 3, m, 5), 10.0)
+        for rho in (0.0, 0.5, 1.0):
+            score(rho)
+    assert shapes == [(3, k + 1 if k < m else m)] * 3
+
+
 def test_scored_distance_is_not_negative_where_the_design_is_the_reference():
     # m = k = t = 1 with Xs along Hc^H C at the energy E: the design is Xs at every rho, so the
     # distance is 0 up to rounding, and its quadratic form alone rounded below 0 in about a
@@ -169,6 +182,21 @@ def test_scored_distance_is_not_negative_where_the_design_is_the_reference():
         interference, distance = score(rho)
         assert np.all(distance >= 0.0) and np.all(distance <= 1e-14 * energy)
         assert np.all(interference >= 0.0)
+
+
+def test_scored_lane_with_zero_symbols_and_reference_matches_the_antenna_domain_design():
+    # C = Xs = 0 gives a lane no scale of its own for its scalars: B = 0, so every design on
+    # the sphere is optimal and the hard case fills the energy along u_0
+    gen = np.random.default_rng(1)
+    hc, c, xs = cn(gen, 2, 2, 4), cn(gen, 2, 2, 3), cn(gen, 2, 4, 3)
+    c[1], xs[1] = 0.0, 0.0
+    score = _pareto_scorer(hc, c, xs, 5.0)
+    for rho in (0.0, 0.5, 1.0):
+        interference, distance = score(rho)
+        for i in range(2):
+            x = solve_pareto_tradeoff(hc[i], c[i], xs[i], rho, 5.0)
+            np.testing.assert_allclose([interference[i], distance[i]], _pareto_terms(hc[i], c[i], xs[i], x),
+                                       rtol=1e-12, atol=1e-12 * 5.0)
 
 
 def test_scored_hard_case_off_the_null_space_matches_the_antenna_domain_design():
@@ -245,16 +273,26 @@ def test_secular_solve_settles_at_rounding_level_over_the_float_range(stack):
 
 
 def test_secular_lanes_past_the_float_range_are_refused():
-    # a lane whose start sums are not finite gets zero factors, and the sphere solve then
-    # returns no design, while a normal lane beside it keeps its own: A near 1e-296 with
-    # weights small enough to start at the pole overflows the slope there, and e_i / E near
-    # 1e624 overflows sqrt(e_i) / sqrt(E)
-    tiny, normal = np.array([1e-296, 2e-296, 3e-296]), np.array([1.0, 2.0, 3.0])
-    for vals, energies, energy in (((tiny, normal), ((1e-305, 0.0, 0.0), (1e307, 1e307, 1e307)), 1e308),
-                                   ((normal, normal), ((1.0, 1.0, 1e300), (1.0, 2.0, 3.0)), 5e-324)):
-        factors, hard, _ = _secular_factors(np.array(vals), np.array(energies), energy)
-        assert not hard.any() and np.all(factors[0] == 0.0) and np.all(factors[1] > 0.0)
-    assert _min_on_sphere(np.diag(tiny), np.array([[np.sqrt(1e-305)], [0.0], [0.0]]), 1e308) is None
+    # a lane whose start sums are not finite gets zero factors, while a normal lane beside it
+    # keeps its own: e_i / E near 1e624 overflows sqrt(e_i) / sqrt(E)
+    normal = np.array([1.0, 2.0, 3.0])
+    factors, hard, _ = _secular_factors(np.array((normal, normal)), np.array(((1.0, 1.0, 1e300), (1.0, 2.0, 3.0))),
+                                        5e-324)
+    assert not hard.any() and np.all(factors[0] == 0.0) and np.all(factors[1] > 0.0)
+
+
+def test_secular_lane_of_a_tiny_spectrum_starts_at_its_root():
+    # A near 1e-296 with all of B on mode 0: the prefix bound sqrt(e_0 / E) is the root itself,
+    # so the lane starts there, where a start at the pole (1e-13 max|v|, subnormal) overflowed
+    # its slope and was refused; the design lies along B
+    tiny = np.array([1e-296, 2e-296, 3e-296])
+    factors, hard, offset = _secular_factors(np.array((tiny, [1.0, 2.0, 3.0])),
+                                             np.array(((1e-305, 0.0, 0.0), (1e307, 1e307, 1e307))), 1e308)
+    assert not hard.any() and factors[0, 0] == 1.0 and np.all(factors[1] > 0.0)
+    np.testing.assert_allclose(offset[0], np.sqrt(1e-305) / np.sqrt(1e308), rtol=1e-15)
+    b = np.array([[np.sqrt(1e-305)], [0.0], [0.0]])
+    x = _min_on_sphere(np.diag(tiny), b, 1e308)
+    np.testing.assert_allclose(x / np.sqrt(1e308), b / np.linalg.norm(b), rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("energy", [1e-250, 1e-280, 1e-300, 1e-310, 5e-324])
@@ -293,13 +331,14 @@ def test_cli_run_at_a_tiny_block_energy_scores_the_design_along_b(capsys):
 def test_scored_metrics_scale_with_the_instance_from_1e_300_to_1e300():
     # scaling C and Xs by sqrt(p) and E by p scales X by sqrt(p) and every metric by p; the
     # CLI draws C at unit power whatever p_t, so its own metrics are not homogeneous in p_t.
-    # No rho near 1 here: at p = 1e-300 its null modes' energies (1-rho)^2 b_i are subnormal
+    # At rho = 1 - 1e-9 and p = 1e-300 the null modes' energies (1-rho)^2 b_i would be
+    # subnormal in absolute units
     cfg = ScenarioConfig("isac_tradeoff", m=6, k=2, t=8, trials=3, seed=12)
     instances = []
     with mock.patch.object(cli, "_pareto_scorer", lambda *args: instances.append(args) or _pareto_scorer(*args)):
         cli._tradeoff_trial(cfg, range(3), [philox_stream(12, stream=i) for i in range(3)])
     (hc, c, xs, energy), = instances
-    points = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0)
+    points = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
 
     def scaled(p):
         score = _pareto_scorer(hc, np.sqrt(p) * c, np.sqrt(p) * xs, p * energy)
