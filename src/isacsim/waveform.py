@@ -235,15 +235,24 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
     """That minimizer X, in `shape`, for A = vecs diag(vals) vecs^H (vals = v ascending) and bt = vecs^H B,
     or for each lane of stacks vals[..., :], vecs and bt[..., :, :] at once: row i of bt times
     _secular_factors' factor i, the hard case's fill along u_0, then X = vecs @ coords, its norm
-    and the scale to norm sqrt(energy).  None when X is zero in some lane."""
-    factors, hard, _ = _secular_factors(vals, _sq_sum(bt, 1), energy)
+    and the scale to norm sqrt(energy).  None when X is zero in some lane.  Until that scale, bt, E
+    and X are in units of a power of two 4^j near the lane's largest row energy, so no bit changes
+    where nothing underflows and a small instance's row energies and norm are not subnormal
+    (j = 0 where E / 4^j would not be a normal float)."""
+    j = np.frexp(_sq_sum(bt, 1).max(axis=-1))[1] // 2
+    with np.errstate(over="ignore", under="ignore"):
+        units = np.ldexp(energy, -2 * j)
+    normal = (units >= np.finfo(float).tiny) & (units < np.inf)
+    bt = bt * np.ldexp(1.0, -j * normal)[..., None, None]
+    units = np.where(normal, units, energy)
+    factors, hard, _ = _secular_factors(vals, _sq_sum(bt, 1), units)
     with np.errstate(invalid="ignore", over="ignore"):  # a hard lane's 1 / gap_i overflows where A is tiny
         coords = bt * factors[..., None]
-    if hard.any():
-        coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(energy - _sq_sum(coords), 0.0)), 0.0)
+    if np.count_nonzero(hard):
+        coords[..., 0, 0] += np.where(hard, np.sqrt(np.maximum(units - _sq_sum(coords), 0.0)), 0.0)
     x = vecs @ coords
     norm = np.sqrt(_sq_sum(x))
-    if np.any(norm == 0.0):
+    if np.count_nonzero(norm == 0.0):
         return None
     x *= (np.sqrt(energy) / norm)[..., None, None]
     return np.reshape(x, shape)
@@ -251,8 +260,8 @@ def _min_in_basis(vals, vecs, bt, energy, shape):
 
 def _secular_factors(vals, energies, energy):
     """The sphere solve's per-mode factors, the hard-case mask and the root's offset lam + v_0,
-    from vals and the energies e_i of B's rows in A's eigenbasis, lane by lane, for one energy
-    or one per lane.  The factors are d_i = 1 / (v_i + lam) times lam + v_0 (so mode 0's is 1)
+    from ascending vals and the energies e_i of B's rows in A's eigenbasis, lane by lane, for one
+    energy or one per lane.  The factors are d_i = 1 / (v_i + lam) times lam + v_0 (so mode 0's is 1)
     on open lanes, 1 on flat ones and d_i itself, 0 on closed modes, on hard ones: the callers
     scale open and flat lanes to the sphere, and fill a hard lane's deficit along u_0 in absolute units.
 
@@ -265,7 +274,9 @@ def _secular_factors(vals, energies, energy):
     1e-12 * max|v_i| of v_0 sit at v_0 in these sums, so a repeated v_0 that rounding
     scattered solves the equation of its modes pooled into one.
     phi is increasing and concave on (-v_0, inf), so from a start below the root the iterates
-    rise to it without overshoot, until r <= 1 + 2 eps or lam stalls.  The start is
+    rise to it without overshoot, until r <= 1 + 2 eps or lam stalls.  A lane above that stop
+    moves by at least an ulp (its step is at least eps * offset, the slope at most 1 / offset),
+    so while every lane is above it the steps skip the stall test and the mask.  The start is
     lam + v_0 = 1e-13 * max|v_i| or, if larger, max_j sqrt(sum_{i<=j} w_i) - (v_j - v_0): since
     psi >= sum_{i<=j} e_i / (v_j + lam)^2, each is below the root, and there each t_i is at
     most about 4e26.  lam is held as its offset from the pole, for relative precision there.
@@ -277,7 +288,7 @@ def _secular_factors(vals, energies, energy):
     factors, which its caller refuses.  Every lane steps, stops and takes its case on its own,
     from its own arithmetic alone, so a lane's X does not depend on the other lanes.
     """
-    scale = np.max(np.abs(vals), axis=-1)
+    scale = np.maximum(-vals[..., 0], vals[..., -1])  # max |v_i| of the ascending v_i
     flat = scale == 0.0  # A = 0: X(lam) lies along B for every lam > 0, so take lam = 1
     gaps = vals - vals[..., :1]
     gaps = np.where(gaps <= 1e-12 * scale[..., None], 0.0, gaps)
@@ -285,31 +296,39 @@ def _secular_factors(vals, energies, energy):
     def secular(offset):
         """r and the ratio slope at lam = offset - v_0."""
         shifted = gaps + offset[..., None]
-        terms = (roots / shifted) ** 2
-        r = terms.sum(axis=-1)  # np.sum's add.reduce, without its dispatch
-        return r, (terms / shifted).sum(axis=-1) / r
+        terms = np.square(roots / shifted)
+        r = np.add.reduce(terms, -1)  # np.sum's reduction, without its dispatch
+        return r, np.add.reduce(terms / shifted, -1) / r
 
     # stopped lanes and closed modes may divide by 0, and a lost lane's sums are inf or nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.sqrt(energy)[..., None]
         roots = np.sqrt(energies) / root
         pole = 1e-13 * scale
-        lower = (np.sqrt(energies.cumsum(axis=-1)) / root - gaps).max(axis=-1)
+        lower = np.maximum.reduce(np.sqrt(np.add.accumulate(energies, -1)) / root - gaps, -1)
         offset = np.where(flat, 1.0, np.maximum(pole, lower))  # nan where lower is
         r, slope = secular(offset)
         hard = (r < 1.0) & (offset == pole)  # never flat: a flat lane's pole is 0, its offset 1
-        unsolved = ~(flat | hard)
-        active = unsolved & np.isfinite(slope)  # slope is nan wherever r is not finite
-        lost = unsolved & ~active
+        active = np.isfinite(slope) > (flat | hard)  # slope is nan wherever r is not finite
+        solvable = np.count_nonzero(active)
+        lost = ~(active | flat | hard) if solvable + np.count_nonzero(flat) < active.size else None
+        live = np.count_nonzero(r > _SETTLED) if solvable == active.size else 0  # all: none can stall
         for _ in range(100):  # a backstop: each step gains at least (sqrt(r) - 1) * offset
             # np.sqrt, as ** 0.5 would take pow for one lane's scalar and sqrt for a stack
             moved = offset + (np.sqrt(r) - 1.0) / slope
-            active &= moved > offset
-            if not active.any():
-                break
-            offset = np.where(active, moved, offset)
+            if live < active.size:  # some lane is not above the stop: mask it and any that stall
+                active &= moved > offset
+                if not np.count_nonzero(active):
+                    break
+                moved = np.where(active, moved, offset)
+            offset = moved
             r, slope = secular(offset)
-            active &= r > _SETTLED
+            active = r > _SETTLED if live == active.size else active & (r > _SETTLED)
+            live = np.count_nonzero(active)
+            if not live:
+                break
+        if lost is None:  # no lane hard or lost
+            return offset[..., None] / (gaps + offset[..., None]), hard, offset
         # hard lanes: the open modes at lam = -v_0, the closed ones empty
         empty = lost[..., None] | hard[..., None] & (gaps == 0.0)
         offset = np.where(hard, 0.0, offset)
@@ -407,21 +426,21 @@ def _pareto_scorer(hc, c, xs, total_energy):
         rho = _check_rho(rho)
         energies = rho * rho * a + 2.0 * rho * (1.0 - rho) * cross + (1.0 - rho) ** 2 * b
         factors, hard, _ = _secular_factors(rho * s + (1.0 - rho), energies, energy)
-        norm2 = (factors * factors * energies).sum(axis=-1)
-        if hard.any():
+        norm2 = np.add.reduce(factors * factors * energies, -1)
+        if np.count_nonzero(hard):
             fill = np.where(hard, np.sqrt(np.maximum(energy - norm2, 0.0)), 0.0)
             norm2 += fill * fill
-        if np.any(norm2 == 0.0):
+        if np.count_nonzero(norm2 == 0.0):
             raise ValueError(_UNREACHABLE)
         kappa = root / np.sqrt(norm2)
         gain = kappa[..., None] * factors
         gam, dlt = rho * gain, (1.0 - rho) * gain
         dm1 = dlt - 1.0
         # each mode's term is a squared norm, which rounding can take a hair below 0
-        distance = np.maximum(gam * (gam * a + 2.0 * dm1 * cross) + dm1 * dm1 * b, 0.0).sum(axis=-1)
+        distance = np.add.reduce(np.maximum(gam * (gam * a + 2.0 * dm1 * cross) + dm1 * dm1 * b, 0.0), -1)
         resid = (hcu2 * np.concatenate((gam[..., -k:], dlt[..., -k:]), axis=-1)[..., None, :]) @ pqr
         resid -= c
-        if hard.any():
+        if np.count_nonzero(hard):
             kf = kappa * fill
             distance += kf * (kf - 2.0 * q00)
             resid[..., 0] += (kf * root_unit)[..., None] * hcu0

@@ -5,8 +5,9 @@ q = U^H Xs that the block draw builds once (`waveform._pareto_scorer`), and neve
 forms the design.  `solve_pareto_tradeoff`, for one instance or a stack, and
 `_min_on_sphere` form it in `_min_in_basis`: they map the sphere solve's coordinates
 to antennas, then take the norm, then scale.  These tests hold the scored metrics to
-the public solve within rounding, on rank-deficient channels too, the designs to that order
-to the bit, and the secular solve to its root at rounding level for E from 1e-300 to 1e300
+the public solve within rounding, on rank-deficient channels too, each scored lane to that lane
+scored alone and the designs to that order to the bit, both metrics to the instance's scale
+from 1e-300 to 1e300, and the secular solve to its root at rounding level for E from 1e-300 to 1e300
 and weights e_i / E up to about 1e600, or its lane refused past the float range.  At a tiny
 energy the design lies along B, in a CLI run too, and no CLI run forms a design or scores
 one in antennas.
@@ -218,6 +219,40 @@ def test_scored_hard_case_off_the_null_space_matches_the_antenna_domain_design()
         np.testing.assert_allclose([interference[i], distance[i]], _pareto_terms(hc[i], c[i], xs[i], x), rtol=1e-10)
 
 
+@st.composite
+def scorer_stacks(draw):
+    """A stack of trade-off instances that share m, k, t and E, each lane open at rho = 1 (its
+    least-squares energy 4E), past it (E 4 times that energy, the hard case at rho = 1 when
+    k < m) or with C = Xs = 0 (B = 0, the hard case at every rho)."""
+    m = draw(st.integers(1, 6))
+    k, t = draw(st.integers(1, m)), draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["open", "past", "zero"]), min_size=2, max_size=6))
+    gen = np.random.default_rng(draw(seeds))
+    hc, c, xs = cn(gen, len(kinds), k, m), cn(gen, len(kinds), k, t), cn(gen, len(kinds), m, t)
+    energy = 10.0 ** draw(st.floats(-3.0, 3.0))
+    for lane, kind in enumerate(kinds):
+        least_squares = np.linalg.norm(np.linalg.pinv(hc[lane]) @ c[lane]) ** 2
+        c[lane] *= {"open": np.sqrt(4.0 * energy / least_squares), "past": np.sqrt(energy / least_squares) / 2.0,
+                    "zero": 0.0}[kind]
+        xs[lane] *= kind != "zero"
+    return hc, c, xs, energy
+
+
+@PROPERTY
+@given(scorer_stacks())
+@example((cn(_gen, 4, 1, 4), cn(_gen, 4, 1, 2), cn(_gen, 4, 4, 2), 1e3))  # rank-one Hc: hard at rho = 1
+def test_scored_lanes_equal_each_lane_scored_alone_to_the_bit(stack):
+    # a lane's Newton steps, stop and case come from its own residuals alone, whichever lanes
+    # share its block: open lanes, lanes that start at their root (rho = 0), hard lanes and B = 0
+    hc, c, xs, energy = stack
+    score = _pareto_scorer(hc, c, xs, energy)
+    alone = [_pareto_scorer(hc[i:i + 1], c[i:i + 1], xs[i:i + 1], energy) for i in range(len(hc))]
+    for rho in (0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0):
+        interference, distance = score(rho)
+        for i, lane in enumerate(alone):
+            assert (interference[i], distance[i]) == tuple(float(x[0]) for x in lane(rho)), (rho, i)
+
+
 EPS = np.finfo(float).eps
 
 
@@ -345,6 +380,28 @@ def test_scored_metrics_scale_with_the_instance_from_1e_300_to_1e300():
         return np.array([score(rho) for rho in points]) / p
 
     want = scaled(1e-100)
+    atol = 1e-12 * (_sq_sum(c) + energy)[None, None, :]
+    for exponent in range(-300, 301, 25):
+        np.testing.assert_array_less(np.abs(scaled(10.0**exponent) - want), 1e-12 * np.abs(want) + atol)
+
+
+def test_public_solve_metrics_scale_with_the_instance_from_1e_300_to_1e300():
+    # the same scaling for solve_pareto_tradeoff's designs, scored in antennas: at p = 1e-300 the
+    # null modes' energies (1-rho)^2 b_i near rho = 1, and the design's own squared norm, would be
+    # subnormal in absolute units, which put the distance at rho = 1 - 1e-9 off by 2.8e-7 relative
+    cfg = ScenarioConfig("isac_tradeoff", m=6, k=2, t=8, trials=3, seed=12)
+    instances = []
+    with mock.patch.object(cli, "_pareto_scorer", lambda *args: instances.append(args) or _pareto_scorer(*args)):
+        cli._tradeoff_trial(cfg, range(3), [philox_stream(12, stream=i) for i in range(3)])
+    (hc, c, xs, energy), = instances
+    points = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
+
+    def scaled(p):
+        c_p, xs_p = np.sqrt(p) * c, np.sqrt(p) * xs
+        return np.array([_pareto_terms(hc, c_p, xs_p, solve_pareto_tradeoff(hc, c_p, xs_p, rho, p * energy))
+                         for rho in points]) / p
+
+    want = scaled(1.0)
     atol = 1e-12 * (_sq_sum(c) + energy)[None, None, :]
     for exponent in range(-300, 301, 25):
         np.testing.assert_array_less(np.abs(scaled(10.0**exponent) - want), 1e-12 * np.abs(want) + atol)
