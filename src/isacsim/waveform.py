@@ -262,31 +262,28 @@ def _secular_factors(vals, energies, energy):
     """The sphere solve's per-mode factors, the hard-case mask and the root's offset lam + v_0,
     from ascending vals and the energies e_i of B's rows in A's eigenbasis, lane by lane, for one
     energy or one per lane.  The factors are d_i = 1 / (v_i + lam) times lam + v_0 (so mode 0's is 1)
-    on open lanes, 1 on flat ones and d_i itself, 0 on closed modes, on hard ones: the callers
-    scale open and flat lanes to the sphere, and fill a hard lane's deficit along u_0 in absolute units.
+    on open lanes, 1 on flat ones and d_i itself, 0 on closed modes, on hard ones: the callers scale
+    open and flat lanes to the sphere, and fill a hard lane's deficit along u_0 in energy's units.
 
     X(lam) = (A + lam I)^{-1} B has squared norm psi(lam) = sum_i e_i / (v_i + lam)^2;
     lam > -v_0 solves psi(lam) = energy by Newton's method on phi = psi^{-1/2} - energy^{-1/2},
     in ratio form over the weights w_i = e_i / energy: with t_i = (sqrt(w_i) / (v_i + lam))^2 and
     r = sum_i t_i = psi / energy, the step -phi/phi' is (sqrt(r) - 1) / sum_i (t_i / r) / (v_i + lam),
-    and neither sum scales with the energy.  sqrt(w_i) is taken as sqrt(e_i) / sqrt(energy),
-    which stays finite where w_i itself would overflow.  Modes within the closed-mode gap
-    1e-12 * max|v_i| of v_0 sit at v_0 in these sums, so a repeated v_0 that rounding
-    scattered solves the equation of its modes pooled into one.
-    phi is increasing and concave on (-v_0, inf), so from a start below the root the iterates
-    rise to it without overshoot, until r <= 1 + 2 eps or lam stalls.  A lane above that stop
-    moves by at least an ulp (its step is at least eps * offset, the slope at most 1 / offset),
-    so while every lane is above it the steps skip the stall test and the mask.  The start is
+    and neither sum scales with the energy.  sqrt(w_i) is taken as sqrt(e_i) / sqrt(energy), finite
+    where w_i itself would overflow.  Modes within the closed-mode gap 1e-12 * max|v_i| of v_0 sit at
+    v_0 in these sums, so a repeated v_0 that rounding scattered solves its pooled modes' equation.
+    phi is increasing and concave on (-v_0, inf), so from a start below the root the iterates rise to it
+    without overshoot, until r <= 1 + 2 eps or, on the first step alone, lam stalls: a lane above that
+    stop moves by at least an ulp (a step of at least eps / slope >= eps * offset).  The start is
     lam + v_0 = 1e-13 * max|v_i| or, if larger, max_j sqrt(sum_{i<=j} w_i) - (v_j - v_0): since
-    psi >= sum_{i<=j} e_i / (v_j + lam)^2, each is below the root, and there each t_i is at
-    most about 4e26.  lam is held as its offset from the pole, for relative precision there.
-    Both starts and the gaps scale by c under (cA, cB), which gives the same X.
-    If psi falls short at the pole start (the hard case, B nearly orthogonal to u_0), the open
-    modes take lam = -v_0, the closed ones 0, and the caller fills the deficit along u_0.
-    For A = 0, X lies along B.  A lane whose start sums are not finite (A below about 1e-295
-    started at the pole, sum_i e_i past the float range, or e_i / E past about 1e616) gets zero
-    factors, which its caller refuses.  Every lane steps, stops and takes its case on its own,
-    from its own arithmetic alone, so a lane's X does not depend on the other lanes.
+    psi >= sum_{i<=j} e_i / (v_j + lam)^2, each is below the root, and there each t_i is at most about
+    4e26.  lam is held as its offset from the pole, for relative precision there.  Both starts and the
+    gaps scale by c under (cA, cB), which gives the same X.  If psi falls short at the pole start (the
+    hard case, B nearly orthogonal to u_0), the open modes take lam = -v_0, the closed ones 0, and the
+    caller fills the deficit along u_0.  For A = 0, X lies along B.  A lane whose start sums are not
+    finite (A below about 1e-295 started at the pole, sum_i e_i past the float range, or e_i / E past
+    about 1e616) gets zero factors, which its caller refuses.  Every lane steps, stops and takes its
+    case on its own, from its own arithmetic alone, so a lane's X does not depend on the other lanes.
     """
     scale = np.maximum(-vals[..., 0], vals[..., -1])  # max |v_i| of the ascending v_i
     flat = scale == 0.0  # A = 0: X(lam) lies along B for every lam > 0, so take lam = 1
@@ -310,30 +307,23 @@ def _secular_factors(vals, energies, energy):
         r, slope = secular(offset)
         hard = (r < 1.0) & (offset == pole)  # never flat: a flat lane's pole is 0, its offset 1
         active = np.isfinite(slope) > (flat | hard)  # slope is nan wherever r is not finite
-        solvable = np.count_nonzero(active)
-        lost = ~(active | flat | hard) if solvable + np.count_nonzero(flat) < active.size else None
-        live = np.count_nonzero(r > _SETTLED) if solvable == active.size else 0  # all: none can stall
-        for _ in range(100):  # a backstop: each step gains at least (sqrt(r) - 1) * offset
-            # np.sqrt, as ** 0.5 would take pow for one lane's scalar and sqrt for a stack
-            moved = offset + (np.sqrt(r) - 1.0) / slope
-            if live < active.size:  # some lane is not above the stop: mask it and any that stall
+        lost = ~(active | flat | hard) if np.count_nonzero(active | flat) < active.size else None
+        for step in range(100):  # a backstop: each step gains at least (sqrt(r) - 1) * offset
+            moved = offset + (np.sqrt(r) - 1.0) / slope  # np.sqrt: ** 0.5 takes pow for one lane's scalar
+            if not step:  # later steps start above the stop, so cannot stall
                 active &= moved > offset
                 if not np.count_nonzero(active):
                     break
-                moved = np.where(active, moved, offset)
-            offset = moved
+            offset = np.where(active, moved, offset)
             r, slope = secular(offset)
-            active = r > _SETTLED if live == active.size else active & (r > _SETTLED)
-            live = np.count_nonzero(active)
-            if not live:
+            active &= r > _SETTLED
+            if not np.count_nonzero(active):
                 break
-        if lost is None:  # no lane hard or lost
-            return offset[..., None] / (gaps + offset[..., None]), hard, offset
-        # hard lanes: the open modes at lam = -v_0, the closed ones empty
-        empty = lost[..., None] | hard[..., None] & (gaps == 0.0)
-        offset = np.where(hard, 0.0, offset)
+        if lost is not None:  # some lane hard or lost: a hard lane's open modes at lam = -v_0
+            empty = lost[..., None] | hard[..., None] & (gaps == 0.0)  # and its closed modes
+            offset = np.where(hard, 0.0, offset)
         factors = np.where(hard, 1.0, offset)[..., None] / (gaps + offset[..., None])
-        return np.where(empty, 0.0, factors), hard, offset
+        return factors if lost is None else np.where(empty, 0.0, factors), hard, offset
 
 
 def _sq_sum(z, axes=2):
