@@ -309,7 +309,8 @@ _SCENARIO_TABLE = {
     )),
     "beam_scan": Scenario("interval", lambda cfg: tuple(float(j) for j in range(cfg.d)),
                           _beam_scan_trial,
-                          ((lambda cfg: cfg.d >= cfg.m, "dictionary size d must be >= m"),)),
+                          ((lambda cfg: cfg.d >= cfg.m, "dictionary size d must be >= m"),
+                           (lambda cfg: cfg.m > 1, "one antenna (m = 1) has a flat beam response with no peak"))),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 

@@ -273,8 +273,8 @@ def _secular_factors(vals, energies, energy):
     where w_i itself would overflow.  Modes within the closed-mode gap 1e-12 * max|v_i| of v_0 sit at
     v_0 in these sums, so a repeated v_0 that rounding scattered solves its pooled modes' equation.
     phi is increasing and concave on (-v_0, inf), so from a start below the root the iterates rise to it
-    without overshoot, until r <= 1 + 2 eps or, on the first step alone, lam stalls: a lane above that
-    stop moves by at least an ulp (a step of at least eps / slope >= eps * offset).  The start is
+    without overshoot, until r <= 1 + 2 eps, tested before every step: a lane above that stop moves by
+    at least an ulp (a step of at least eps / slope >= eps * offset).  The start is
     lam + v_0 = 1e-13 * max|v_i| or, if larger, max_j sqrt(sum_{i<=j} w_i) - (v_j - v_0): since
     psi >= sum_{i<=j} e_i / (v_j + lam)^2, each is below the root, and there each t_i is at most about
     4e26.  lam is held as its offset from the pole, for relative precision there.  Both starts and the
@@ -308,17 +308,13 @@ def _secular_factors(vals, energies, energy):
         hard = (r < 1.0) & (offset == pole)  # never flat: a flat lane's pole is 0, its offset 1
         active = np.isfinite(slope) > (flat | hard)  # slope is nan wherever r is not finite
         lost = ~(active | flat | hard) if np.count_nonzero(active | flat) < active.size else None
-        for step in range(100):  # a backstop: each step gains at least (sqrt(r) - 1) * offset
-            moved = offset + (np.sqrt(r) - 1.0) / slope  # np.sqrt: ** 0.5 takes pow for one lane's scalar
-            if not step:  # later steps start above the stop, so cannot stall
-                active &= moved > offset
-                if not np.count_nonzero(active):
-                    break
-            offset = np.where(active, moved, offset)
-            r, slope = secular(offset)
-            active &= r > _SETTLED
+        active &= r > _SETTLED
+        for _ in range(100):  # a backstop: each step gains at least (sqrt(r) - 1) * offset
             if not np.count_nonzero(active):
                 break
+            offset = np.where(active, offset + (np.sqrt(r) - 1.0) / slope, offset)  # ** 0.5 takes pow for a scalar
+            r, slope = secular(offset)
+            active &= r > _SETTLED
         if lost is not None:  # some lane hard or lost: a hard lane's open modes at lam = -v_0
             empty = lost[..., None] | hard[..., None] & (gaps == 0.0)  # and its closed modes
             offset = np.where(hard, 0.0, offset)

@@ -1,7 +1,6 @@
 import json
 import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ from isacsim import (
 from isacsim import cli, estimation
 from isacsim.cli import ScenarioConfig, TrialResult, config_from_dict, emit_results, main, run_scenario
 from isacsim.rng import complex_normal, philox_stream
+
+import goldens
 
 
 def cfg(**kwargs):
@@ -646,55 +647,37 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error: row sweeps did not settle within 3 sweeps\n"
 
-    def test_noisy_estimation_matches_golden_bytes(self, tmp_path):
+    def test_noisy_estimation_matches_golden_bytes(self):
         # written by the exhaustive beam search; the pruned search must reproduce it
-        golden = Path(__file__).parent / "data" / "mmwave_estimation_noisy_seed7.csv"
-        out = tmp_path / "run.csv"
-        code = main(["mmwave_estimation", "--m", "8", "--n-s", "8", "--d", "16", "--l", "3",
-                     "--t", "16", "--n-sc", "32", "--snr-list=-10,0,10", "--trials", "3",
-                     "--seed", "7", "--out", str(out)])
-        assert code == 0
-        assert out.read_bytes() == golden.read_bytes()
+        name = "mmwave_estimation_noisy_seed7.csv"
+        assert goldens.produce(name) == (goldens.DATA / name).read_bytes()
 
     @pytest.mark.parametrize("scenario", ["capacity_sweep", "sensing_sweep"])
-    def test_sweep_matches_golden_bytes(self, tmp_path, scenario):
+    def test_sweep_matches_golden_bytes(self, scenario):
         # written while every point still built its aux stream and _psd_eigs decomposed
         # twice; the lazy stream and the single decomposition must reproduce it
-        golden = Path(__file__).parent / "data" / f"{scenario}_seed3.csv"
-        out = tmp_path / "run.csv"
-        assert main([scenario, "--trials", "20", "--seed", "3", "--out", str(out)]) == 0
-        assert out.read_bytes() == golden.read_bytes()
+        name = f"{scenario}_seed3.csv"
+        assert goldens.produce(name) == (goldens.DATA / name).read_bytes()
 
-    def test_many_mode_capacity_matches_golden_bytes(self, tmp_path):
+    def test_many_mode_capacity_matches_golden_bytes(self):
         # eight modes take part in the water level here, so its summation order shows
         # in the last bits: a cumulative sum moved 2 of these 144 values by 4.3e-16
-        golden = Path(__file__).parent / "data" / "capacity_sweep_m8_seed2.csv"
-        out = tmp_path / "run.csv"
-        code = main(["capacity_sweep", "--m", "8", "--n-c", "8", "--power-list", "0.1,1,10,100",
-                     "--trials", "10", "--seed", "2", "--out", str(out)])
-        assert code == 0
-        assert out.read_bytes() == golden.read_bytes()
+        name = "capacity_sweep_m8_seed2.csv"
+        assert goldens.produce(name) == (goldens.DATA / name).read_bytes()
 
-    def test_many_mode_sensing_matches_golden_bytes(self, tmp_path):
+    def test_many_mode_sensing_matches_golden_bytes(self):
         # one to eight eigenmodes of each Q_h share the water level (seven or eight at
         # power 100), so this pins the level's summation order for sensing as the file
         # above does for capacity
-        golden = Path(__file__).parent / "data" / "sensing_sweep_m8_seed2.csv"
-        out = tmp_path / "run.csv"
-        code = main(["sensing_sweep", "--m", "8", "--n-s", "3", "--t", "12", "--power-list",
-                     "0.01,1,100", "--trials", "10", "--seed", "2", "--out", str(out)])
-        assert code == 0
-        assert out.read_bytes() == golden.read_bytes()
+        name = "sensing_sweep_m8_seed2.csv"
+        assert goldens.produce(name) == (goldens.DATA / name).read_bytes()
 
-    def test_tradeoff_matches_stored_records(self, tmp_path):
+    def test_tradeoff_matches_stored_records(self):
         # written by the bisection sphere solve; the Newton solve reaches the same
         # multiplier by another path, so the values agree to rounding, not to the byte
-        stored = json.loads((Path(__file__).parent / "data" / "isac_tradeoff_m16_seed7.json").read_text())
-        out = tmp_path / "run.json"
-        code = main(["isac_tradeoff", "--m", "16", "--k", "4", "--t", "32", "--trials", "8",
-                     "--seed", "7", "--format", "json", "--out", str(out)])
-        assert code == 0
-        records = json.loads(out.read_text())
+        name = "isac_tradeoff_m16_seed7.json"
+        stored = json.loads((goldens.DATA / name).read_text())
+        records = json.loads(goldens.produce(name))
 
         def keys(rows):
             return [{name: v for name, v in row.items() if name != "value"} for row in rows]

@@ -1,6 +1,5 @@
 import dataclasses
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from isacsim import (
     write_observations,
 )
 from isacsim.rng import complex_normal, philox_stream
+
+import goldens
 
 SPACING = 15e3
 DURATION = 1e-4
@@ -315,8 +316,8 @@ class TestEstimatePaths:
     def test_noisy_reports_match_golden_bytes(self):
         # written by the two mirrored stage branches; the shared stage path must reproduce
         # every field to the bit, in both orders, at T and N_sc that are not powers of two
-        golden = Path(__file__).parent / "data" / "estimate_paths_noisy.txt"
-        assert noisy_report_text() == golden.read_text(encoding="utf-8")
+        name = "estimate_paths_noisy.txt"
+        assert goldens.produce(name) == (goldens.DATA / name).read_bytes()
 
 
 def noisy_report_text() -> str:

@@ -9,7 +9,11 @@ along whichever null eigenvector LAPACK returns first.
 at least the rate of an equal-power orthogonal probe with that energy; at a low SNR it keeps
 only about eps / SNR of its relative precision.  `beam_scan` steers the broadside beam by
 each interval's shift, so with d >= m the response peaks on the shifted cell at every
-interval; with one antenna the response is flat.
+interval; one antenna's response is flat, so `beam_scan` refuses m = 1.
+
+`estimate_paths` recovers two noiseless unit paths, cells and bins, when their AoA cells are
+five apart on a d = 2 n_s grid or adjacent on a square grid, but not yet when they are
+adjacent on the d = 2 n_s grid of the `estimation_large` config, where the receive atoms overlap.
 """
 
 from unittest import mock
@@ -19,9 +23,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isacsim import cli
+from isacsim import (
+    ArrayGeometry, GridPath, build_dictionary, cli, estimate_paths, random_probes, synthesize_observations,
+)
 from isacsim.channel import NoiseSpec
 from isacsim.cli import ScenarioConfig, run_scenario
+from isacsim.rng import philox_stream
 from isacsim.sensing import estimation_rate
 
 EPS = np.finfo(float).eps
@@ -113,6 +120,43 @@ def test_beam_scan_peak_matches_at_every_interval(md):
     assert beam_scan_matches(m, d) == [1.0] * d
 
 
-@pytest.mark.xfail(strict=True, reason="one antenna's response is flat, so its argmax takes cell 0 whatever the shift")
-def test_beam_scan_peak_matches_with_one_antenna():
-    assert beam_scan_matches(1, 4) == [1.0] * 4
+def test_beam_scan_refuses_one_antenna(capsys):
+    # one antenna's response is flat, so its argmax would take cell 0 whatever the shift
+    assert cli.main(["beam_scan", "--m", "1", "--d", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: one antenna (m = 1) has a flat beam response with no peak\n"
+
+
+def estimation_round_trips(d, aoa_gap, draws=40, seed=3):
+    """How many of `draws` noiseless two-path instances estimate_paths recovers, cells and bins:
+    m = n_s = 8 over a d-cell grid, T = 32, N_sc = 64, two unit paths aoa_gap AoA cells apart
+    with distinct AoD cells."""
+    atoms = build_dictionary(ArrayGeometry(8), d)  # both sides: m = n_s
+    probes = random_probes(8, 32, seed)
+    gen = philox_stream(seed)
+    recovered = 0
+    for _ in range(draws):
+        p = int(gen.integers(d - aoa_gap))
+        paths = [GridPath(aoa, int(aod), int(gen.integers(32)), int(gen.integers(64)), 1.0,
+                          float(gen.uniform(-np.pi, np.pi)))
+                 for aoa, aod in zip((p, p + aoa_gap), gen.choice(d, size=2, replace=False))]
+        obs = synthesize_observations(atoms, atoms, paths, probes, 64, 15e3, 1e-4, 28e9)
+        report = estimate_paths(obs, atoms, atoms, 2, probes)
+        cells = {(e.aoa_index, e.aod_index, e.doppler_bin, e.delay_bin) for e in report.paths}
+        recovered += cells == {(q.aoa_index, q.aod_index, q.doppler_bin, q.delay_bin) for q in paths}
+    return recovered
+
+
+@pytest.mark.xfail(strict=True, reason="at d = 2 n_s adjacent receive atoms overlap, and deflating by the "
+                                       "first path's atom removes most of its neighbour")
+def test_noiseless_estimation_recovers_paths_in_adjacent_aoa_cells():
+    assert estimation_round_trips(16, 1) == 40  # 0 of 40 today
+
+
+def test_noiseless_estimation_recovers_paths_five_aoa_cells_apart():
+    assert estimation_round_trips(16, 5) == 40
+
+
+def test_noiseless_estimation_recovers_adjacent_aoa_cells_on_a_square_grid():
+    assert estimation_round_trips(8, 1) == 40  # d = n_s: the receive atoms are orthogonal

@@ -8,7 +8,8 @@ to antennas, then take the norm, then scale.  These tests hold the scored metric
 the public solve within rounding, on rank-deficient channels too, each scored lane to that lane
 scored alone and the designs to that order to the bit, both metrics to the instance's scale
 from 1e-300 to 1e300, and the secular solve to its root at rounding level for E from 1e-300 to 1e300
-and weights e_i / E up to about 1e600, or its lane refused past the float range.  At a tiny
+and weights e_i / E up to about 1e600, or its lane refused past the float range; a lane that
+starts within the solve's stop keeps its start to the bit.  At a tiny
 energy the design lies along B, in a CLI run too, and no CLI run forms a design or scores
 one in antennas.
 """
@@ -305,6 +306,23 @@ def test_secular_solve_settles_at_rounding_level_over_the_float_range(stack):
         else:  # A = 0: lam = 1, X along B
             assert not hard[lane] and offset[lane] == 1.0
             assert np.array_equal(factors[lane], np.ones(vals.shape[1]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=16), st.floats(-3.0, 3.0))
+@example([1.96, -2.63, -2.44], 2.78)  # r = 1 + 2 eps at the start, where a step would still move the offset
+def test_secular_lane_that_starts_within_the_stop_keeps_its_start(exponents, exponent):
+    # A = I, as at rho = 0: every mode sits at v_0, so the prefix bound sqrt(sum_i e_i) / sqrt(E) is the
+    # root up to rounding; a lane whose r there is already at most 1 + 2 eps takes no step
+    energies, energy = 10.0 ** np.array(exponents), 10.0**exponent
+    start = max(1e-13, np.sqrt(np.add.accumulate(energies)[-1]) / np.sqrt(energy))
+    r = np.add.reduce(np.square(np.sqrt(energies) / np.sqrt(energy) / start))  # the solve's own r
+    _, hard, offset = _secular_factors(np.ones(len(exponents)), energies, energy)
+    assert not hard
+    if r <= 1.0 + 2.0 * EPS:
+        assert offset == start, (r - 1.0) / EPS
+    else:  # the iterates rise to the root
+        assert offset > start
 
 
 def test_secular_lanes_past_the_float_range_are_refused():
