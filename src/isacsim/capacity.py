@@ -34,6 +34,7 @@ class CapacityResult:
     bits_per_symbol: float
     covariance: np.ndarray
     allocation: PowerAllocation
+    factor: np.ndarray
 
 
 def require_psd(q: np.ndarray, name: str = "matrix"):
@@ -88,18 +89,23 @@ def _logdet_bits(m: np.ndarray):
     return logdet / _LN2
 
 
-def _comm_mi_bits(h: np.ndarray, q: np.ndarray, noise: NoiseSpec):
-    """Unchecked log2 det(I + H Q H^H / sigma^2), for one pair or each pair of two stacks."""
-    return _logdet_bits(np.eye(h.shape[-2]) + (h @ q @ h.conj().swapaxes(-2, -1)) / noise.variance)
+def _bits(x: np.ndarray):
+    """sum log2(1 + x) over the last axis, through log1p, so a small x keeps its relative precision."""
+    return np.sum(np.log1p(x), axis=-1) / _LN2
+
+
+def _mi_bits(a: np.ndarray):
+    """log2 det(I + A A^H) = _bits(s^2) over A's singular values s, for one matrix or a stack, with no n x n
+    matrix to lose its unit eigenvalues to rounding or to overflow (Telatar, Eur. Trans. Telecom. 1999)."""
+    return _bits(np.linalg.svd(a, compute_uv=False) ** 2)
 
 
 def mutual_information_comm(h: np.ndarray, q: np.ndarray, noise: NoiseSpec) -> float:
-    """Per-symbol mutual information log2 det(I + H Q H^H / sigma^2) in bits."""
+    """Per-symbol mutual information log2 det(I + H Q H^H / sigma^2) in bits: _mi_bits(H F / sigma), Q = F F^H."""
     h, q = np.asarray(h, dtype=complex), np.asarray(q, dtype=complex)
     if h.shape[1] != q.shape[0]:
         raise ValueError("channel and covariance dimensions do not conform")
-    require_psd(q, "transmit covariance")
-    return float(_comm_mi_bits(h, q, noise))
+    return float(_mi_bits(h @ _psd_factor(q, "transmit covariance") / np.sqrt(noise.variance)))
 
 
 def _water_level(floors: np.ndarray, budget: float) -> np.ndarray:
@@ -121,7 +127,7 @@ def _water_level(floors: np.ndarray, budget: float) -> np.ndarray:
 def _fill(lam: np.ndarray, budget: float, noise: NoiseSpec):
     """Water-fill `budget` over each lane of a (..., n) stack of descending gains lam, 0 past a lane's
     rank: beta_g = (w - sigma^2/lam_g)^+ at w = _water_level(sigma^2/lam).  Returns the
-    PowerAllocation and each lane's rate sum_g log2(1 + lam_g beta_g / sigma^2), which may
+    PowerAllocation and each lane's rate _bits(lam_g beta_g / sigma^2), which may
     overflow to inf from finite levels: a caller that uses it refuses that (_require_finite_rate)."""
     if not budget > 0:  # NaN too
         raise ValueError("power budget must be > 0")
@@ -131,7 +137,7 @@ def _fill(lam: np.ndarray, budget: float, noise: NoiseSpec):
     levels = np.maximum(np.subtract(w[..., None], floors, out=np.zeros(lam.shape), where=lam > 0), 0.0)
     _require_finite_rate(levels, budget)  # an infinite level gives an infinite rate
     with np.errstate(over="ignore"):  # the callers that use the rate refuse it when infinite
-        rate = np.sum(np.log2(1.0 + lam * levels / noise.variance), axis=-1)
+        rate = _bits(lam * levels / noise.variance)
     w, rate = (w, rate) if lam.ndim > 1 else (float(w), float(rate))  # one lane's are Python floats
     return PowerAllocation(levels, w, float(budget), lam), rate
 
@@ -153,9 +159,8 @@ def waterfill(eigenvalues, budget: float, noise: NoiseSpec) -> PowerAllocation:
 def comm_capacity(h: np.ndarray, budget: float, noise: NoiseSpec) -> CapacityResult:
     """Channel capacity in bits/symbol with the covariance that attains it, for one channel or a stack.
 
-    Decomposes the channel by SVD, water-fills the transmit power over the
-    nonzero eigen-modes of H^H H and returns Q = V diag(beta) V^H together
-    with the allocation.
+    Decomposes the channel by SVD, water-fills the transmit power over the nonzero eigen-modes
+    of H^H H and returns Q = V diag(beta) V^H, its factor V sqrt(beta) and the allocation.
     """
     h = np.asarray(h, dtype=complex)
     if not np.all(np.any(h, axis=(-2, -1))):
@@ -164,4 +169,4 @@ def comm_capacity(h: np.ndarray, budget: float, noise: NoiseSpec) -> CapacityRes
     lam, v = _rank_cut(s**2, vh.conj().swapaxes(-2, -1))
     alloc, bits = _fill(lam, budget, noise)
     _require_finite_rate(bits, budget)
-    return CapacityResult(bits_per_symbol=bits, covariance=_from_eigs(v, alloc.levels), allocation=alloc)
+    return CapacityResult(bits, _from_eigs(v, alloc.levels), alloc, v * np.sqrt(alloc.levels)[..., None, :])

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .capacity import _comm_mi_bits, comm_capacity
+from .capacity import _mi_bits, comm_capacity
 from .channel import ArrayGeometry, NoiseSpec, build_dictionary
 from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, _scratch, random_probes,
                          synthesize_observations, write_observations)
@@ -142,8 +142,7 @@ def _capacity_trial(cfg: ScenarioConfig, block: range, gens):
 
     def evaluate(pi, power) -> list:
         res = comm_capacity(hs, power, noise)
-        # comm_capacity's covariance is its own Hermitian PSD V diag(beta) V^H: no check
-        mi = _comm_mi_bits(hs, res.covariance, noise)
+        mi = _mi_bits(hs @ res.factor / np.sqrt(noise.variance))  # Q = F F^H at comm_capacity's own F
         return [{"comm_bits": c, "mi_bits": i, "water_level": w} for c, i, w in
                 zip(res.bits_per_symbol.tolist(), mi.tolist(), res.allocation.water_level.tolist())]
 

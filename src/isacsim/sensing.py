@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PowerAllocation, _fill, _logdet_bits, _psd_eigs, _psd_factor, _require_finite_rate
+from .capacity import PowerAllocation, _fill, _mi_bits, _psd_eigs, _psd_factor, _require_finite_rate
 from .channel import NoiseSpec
 
 
@@ -32,19 +32,14 @@ class EstimationRateResult:
     allocation: Optional[PowerAllocation]
 
 
-def _sensing_mi_bits(f: np.ndarray, gram: np.ndarray, noise: NoiseSpec, rx_count: int, t: int) -> float:
-    """Unchecked (N/T) log2 det(I + F^H G F / sigma^2) for Q_h = F F^H and G = X^H X."""
-    return rx_count / t * _logdet_bits(np.eye(f.shape[1]) + f.conj().T @ gram @ f / noise.variance)
-
-
 def estimation_rate(x: np.ndarray, qh: np.ndarray, noise: NoiseSpec, rx_count: int, t: int) -> float:
-    """Sensing mutual information (N/T) log2 det(I + Q_h X^H X / sigma^2), bits/transmission."""
+    """Sensing MI (N/T) log2 det(I + Q_h X^H X / sigma^2) in bits/transmission: (N/T) _mi_bits(X F / sigma)."""
     x, qh = np.asarray(x, dtype=complex), np.asarray(qh, dtype=complex)
     if x.ndim != 2 or x.shape[0] != t:
         raise ValueError("waveform must be T x M")
     if x.shape[1] != qh.shape[0]:
         raise ValueError("waveform and covariance dimensions do not conform")
-    return float(_sensing_mi_bits(_psd_factor(qh, "channel covariance"), x.conj().T @ x, noise, rx_count, t))
+    return rx_count / t * float(_mi_bits(x @ _psd_factor(qh, "channel covariance") / np.sqrt(noise.variance)))
 
 
 def _probing_modes(qh: np.ndarray, t: int):

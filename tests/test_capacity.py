@@ -2,9 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from isacsim import NoiseSpec, comm_capacity, mutual_information_comm, random_channel, waterfill
 from isacsim.capacity import require_psd
+
+POWERS = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # budgets from 1e-300 to 1e300, log-uniform
+VARIANCES = POWERS | st.just(5e-324)  # and the smallest subnormal noise variance
 
 
 def random_psd(dim, trace, seed):
@@ -160,6 +165,22 @@ class TestCommCapacity:
             res = comm_capacity(h, 1.3, noise)
             assert abs(res.bits_per_symbol - mutual_information_comm(h, res.covariance, noise)) < 1e-9
             assert np.trace(res.covariance).real <= 1.3 + 1e-9
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m + 4))), POWERS, VARIANCES,
+           st.integers(0, 2**32 - 1))
+    @example((1, 4), 1e150, 1.0, 41)  # three unit eigenvalues of I + H Q H^H / sigma^2 beside one near 1e150
+    @example((1, 1), 5e-324, 5e-324, 0)  # H Q H^H / sigma^2 overflows where H F / sigma does not
+    def test_mi_at_returned_covariance_is_the_capacity_at_any_snr(self, mn, power, noise_var, seed):
+        m, n_c = mn
+        h, noise = random_channel(n_c, m, seed), NoiseSpec(noise_var)
+        try:
+            res = comm_capacity(h, power, noise)
+        except ValueError:  # an infinite capacity
+            res = None
+        assume(res is not None and res.bits_per_symbol > 0)
+        mi = mutual_information_comm(h, res.covariance, noise)
+        assert abs(mi - res.bits_per_symbol) <= 1e-12 * res.bits_per_symbol, (mi, res.bits_per_symbol)
 
     def test_strictly_increasing_in_budget(self):
         h = random_channel(2, 2, 77)

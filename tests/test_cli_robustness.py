@@ -3,9 +3,9 @@
 Over small random configs, with block energies, powers and noise variances across the
 float range (and, for the estimation, SNRs from -300 to 300 dB), every run either
 exits 0 printing only finite values and no RuntimeWarning, or exits 1 with one
-`error:` line.  capacity_sweep's mi_bits reads -inf or nan at extreme SNRs: the capacity
-property lets that one metric through, and two strict xfails below pin it: the high-SNR
-cancellation and the overflow at the smallest noise variance.
+`error:` line.  Two fixed capacity_sweep runs pin mi_bits where a log-det of the
+n_c x n_c I + H Q H^H / sigma^2 fails: its unit eigenvalues beside huge ones at a high SNR,
+and its overflow at the smallest noise variance.
 """
 
 import contextlib
@@ -14,7 +14,6 @@ import math
 import re
 import warnings
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -75,12 +74,8 @@ def beam_scan_argv(draw):
             "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 2**16)))]
 
 
-def check_run(argv, defect=None):
-    """The run exits 0 printing only finite values and no RuntimeWarning, or 1 with one error line.
-
-    `defect` names a metric with a known defect: a run in which only that metric prints non-finite
-    values passes, whatever RuntimeWarnings it raised on the way.
-    """
+def check_run(argv):
+    """The run exits 0 printing only finite values and no RuntimeWarning, or 1 with one error line."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -94,10 +89,8 @@ def check_run(argv, defect=None):
     header, *rows = out.getvalue().splitlines()
     assert header == "scenario,param_name,param_value,trial,metric,value"
     assert rows
-    nonfinite = {row.split(",")[4] for row in rows if not math.isfinite(float(row.rsplit(",", 1)[1]))}
-    assert nonfinite <= {defect}
-    if not nonfinite:
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -132,7 +125,7 @@ def test_sensing_run_prints_finite_values_or_one_error_line(argv):
 @example(["capacity_sweep", "--m", "6", "--n-c", "6", "--noise-var", "1e300", "--power-list", "5e-324,1e300",
           "--trials", "3"])
 def test_capacity_run_prints_finite_values_or_one_error_line(argv):
-    check_run(argv, defect="mi_bits")
+    check_run(argv)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -143,18 +136,13 @@ def test_beam_scan_run_prints_finite_values_or_one_error_line(argv):
     check_run(argv)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "slogdet of the n_c x n_c I + H Q H^H / sigma^2 loses its n_c - m unit eigenvalues at a high SNR, "
-    "so trial 1's mi_bits reads -inf, the mean -inf and the std nan, with a RuntimeWarning"))
 def test_capacity_mi_bits_stay_finite_at_a_high_snr():
+    # n_c - m unit eigenvalues of I + H Q H^H / sigma^2 beside one near 1e150
     check_run(["capacity_sweep", "--m", "1", "--trials", "3", "--seed", "41", "--power-list", "1e150"])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "H Q H^H / sigma^2 overflows at sigma^2 = 5e-324 before the log-det, so mi_bits reads nan next to a "
-    "finite comm_bits, with RuntimeWarnings: the slogdet of I + H Q H^H / sigma^2 that ROADMAP item 5 "
-    "replaces with the factor-domain log-det over the singular values of H F / sigma"))
 def test_capacity_mi_bits_stay_finite_at_the_smallest_noise_variance():
+    # H Q H^H / sigma^2 overflows at sigma^2 = 5e-324, H F / sigma does not
     check_run(["capacity_sweep", "--m", "1", "--n-c", "1", "--noise-var", "5e-324", "--power-list", "5e-324",
                "--trials", "1"])
 

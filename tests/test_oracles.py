@@ -6,10 +6,11 @@ rho = 1 endpoint is not yet the limit of the front: its hard case fills the ener
 along whichever null eigenvector LAPACK returns first.
 
 `sensing_sweep`'s `sensing_bits` is the largest estimation rate at its block energy, so it is
-at least the rate of an equal-power orthogonal probe with that energy; at a low SNR it keeps
-only about eps / SNR of its relative precision.  `beam_scan` steers the broadside beam by
-each interval's shift, so with d >= m the response peaks on the shifted cell at every
-interval; one antenna's response is flat, so `beam_scan` refuses m = 1.
+at least the rate of an equal-power orthogonal probe with that energy; at a low SNR its water
+level keeps only about eps / SNR of the power's relative precision, and the rate inherits
+that.  `beam_scan` steers the broadside beam by each interval's shift, so with d >= m the
+response peaks on the shifted cell at every interval; one antenna's response is flat, so
+`beam_scan` refuses m = 1.
 
 `estimate_paths` recovers two noiseless unit paths, cells and bins, when their AoA cells are
 five apart on a d = 2 n_s grid or adjacent on a square grid, but not yet when they are
@@ -95,11 +96,12 @@ def test_sensing_bits_are_at_least_the_equal_power_probe_rate(mt, n_s, noise_var
         assert row.metrics["sensing_bits"] >= equal - 1e-12 * equal - 4 * EPS * m * n_s / t, (row, equal)
 
 
-@pytest.mark.xfail(strict=True, reason="capacity._fill takes log2(1 + x), which keeps about eps / x of the "
-                                       "relative precision of a small x")
+@pytest.mark.xfail(strict=True, reason="the water-filled level is formed as w - sigma^2 / lam, so a budget far "
+                                       "below the floor keeps about eps w / budget of its relative precision: "
+                                       "at lam = 0.73, sigma^2 = 1e3 a budget of 1e-3 reads 0.0009999999999763531")
 def test_sensing_bits_keep_their_relative_precision_at_a_low_snr():
-    # one antenna takes the whole energy: sensing_bits is (n_s / t) log2(1 + lam t P / sigma^2),
-    # which reads about 1e-10 off relative at an SNR near 1e-6
+    # one antenna takes the whole energy: sensing_bits is (n_s / t) log2(1 + lam t P / sigma^2), taken
+    # through log1p, yet it reads 2.4e-11 off relative at an SNR near 1e-6, the error of its level
     cfg = ScenarioConfig("sensing_sweep", m=1, n_s=5, t=1, noise_var=1e3, power_list=(1e-3,), trials=3, seed=12)
     qh, rows = sensing_rows(cfg)
     want = [5 * np.log1p(qh[i, 0, 0].real * 1e-3 / 1e3) / np.log(2.0) for i in range(3)]

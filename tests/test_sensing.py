@@ -2,8 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from isacsim import NoiseSpec, estimation_rate, optimal_sensing_waveform, random_channel, sensing_capacity
+
+POWERS = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # powers from 1e-300 to 1e300, log-uniform
+VARIANCES = POWERS | st.just(5e-324)  # and the smallest subnormal noise variance
 
 
 def random_cov(dim, rank, seed, scale=1.0):
@@ -132,10 +137,17 @@ class TestSensingCapacity:
             expected = 3 / t * np.sum(np.log2(1 + alloc.eigenvalues * alloc.levels / noise.variance))
             assert abs(res.bits_per_transmission - expected) < 1e-12
 
-    def test_capacity_equals_rate_at_optimal_waveform(self):
-        noise = NoiseSpec(0.4)
-        for seed in range(5):
-            qh = random_cov(3, 3, seed + 70)
-            cap = sensing_capacity(qh, 2, 5, 1.2, noise).bits_per_transmission
-            wf = optimal_sensing_waveform(qh, 5, 1.2, noise)
-            assert abs(cap - estimation_rate(wf.block, qh, noise, 2, 5)) < 1e-9
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.integers(m, m + 4))),
+           st.integers(1, 5), POWERS, VARIANCES, st.integers(0, 2**32 - 1))
+    @example((3, 3, 5), 2, 1.2, 0.4, 70)
+    def test_capacity_equals_rate_at_optimal_waveform(self, mrt, n_s, power, noise_var, seed):
+        m, rank, t = mrt
+        qh, noise = random_cov(m, rank, seed), NoiseSpec(noise_var)
+        try:
+            cap = sensing_capacity(qh, n_s, t, power, noise).bits_per_transmission
+        except ValueError:  # an infinite capacity
+            cap = 0.0
+        assume(cap > 0)
+        rate = estimation_rate(optimal_sensing_waveform(qh, t, power, noise).block, qh, noise, n_s, t)
+        assert abs(rate - cap) <= 1e-12 * cap, (rate, cap)

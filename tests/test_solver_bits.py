@@ -23,9 +23,8 @@ import isacsim
 from isacsim import (ConvergenceError, NoiseSpec, comm_capacity, optimal_sensing_waveform, optimize_weighted_mi,
                      sensing_capacity, solve_constant_modulus, solve_pareto_tradeoff, solve_per_antenna)
 from isacsim import capacity
-from isacsim.capacity import _comm_mi_bits, _psd_factor
+from isacsim.capacity import _logdet_bits, _psd_factor
 from isacsim.cli import main
-from isacsim.sensing import _sensing_mi_bits
 from isacsim.waveform import _RUNGS, _pareto_objective, _project_psd_trace
 
 seeds = st.integers(0, 2**32 - 1)
@@ -114,23 +113,24 @@ def reference_constant_modulus(hc, c, xs, rho, modulus, max_sweeps=10_000, tol=1
 
 def reference_weighted_mi(hc, qh, rho, budget, noise, t, n_s, max_iter=10_000, grad_tol=1e-6):
     """The stacked ascent with Q_h checked and decomposed twice (sensing_capacity, then
-    _psd_factor) and every gradient rebuilding I + Hc Q Hc^H / sigma^2."""
+    _psd_factor), every gradient rebuilding I + Hc Q Hc^H / sigma^2, and both objective terms
+    taken as the slogdet of their own matrix, I + Hc Q Hc^H / sigma^2 and I + F^H (T Q) F / sigma^2."""
     hc, qh = np.asarray(hc, dtype=complex), np.asarray(qh, dtype=complex)
     m = hc.shape[1]
     comm_norm = comm_capacity(hc, budget, noise).bits_per_symbol if rho > 0 else 1.0
     sens_norm = sensing_capacity(qh, n_s, t, budget, noise).bits_per_transmission if rho < 1 else 1.0
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
+    hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
+    eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)
 
     def objective(qs):
         value = 0.0
         if rho > 0:
-            value += rho / comm_norm * _comm_mi_bits(hc, qs, noise)
+            value += rho / comm_norm * _logdet_bits(eye_c + (hc @ qs @ hh) / noise.variance)
         if rho < 1:
-            value += (1.0 - rho) / sens_norm * _sensing_mi_bits(f, t * qs, noise, n_s, t)
+            value += (1.0 - rho) / sens_norm * (n_s / t * _logdet_bits(eye_s + fh @ (t * qs) @ f / noise.variance))
         return value.tolist()
 
-    hh, fh = hc.conj().T, (f.conj().T if rho < 1 else None)
-    eye_c, eye_s = np.eye(hc.shape[0]), (np.eye(f.shape[1]) if rho < 1 else None)
     comm_w = rho / (comm_norm * np.log(2.0) * noise.variance)
     sens_w = (1.0 - rho) * n_s / (sens_norm * np.log(2.0) * noise.variance)
 
