@@ -383,8 +383,7 @@ def _pareto_scorer(hc, c, xs, total_energy):
       modes are null vectors of Hc.  Its Gram expansion would cancel toward rho = 1, where it is near 0.
     Those null modes share v_0 and so one factor, and every quadratic form above is linear in the
     scalars: they are pooled into one mode at s_0, so each point solves k + 1 modes (m when k = m).
-    The scalars, E and the fill are in units of each lane's largest a_i or b_i, so no mode's energy
-    is subnormal where the instance is merely small; the distance and the fill are scaled back.
+    In the instance's units: the CLI draws Hc and C at variance 1 whatever E, so max a_i is O(1) or more.
     """
     s, u, pq = _pareto_basis(hc, c, xs, total_energy)
     hcu = hc @ u
@@ -392,29 +391,23 @@ def _pareto_scorer(hc, c, xs, total_energy):
     hcu0 = hcu[..., 0].copy()  # Hc u_0 for the fill; the copies leave the points no view of hcu or pq
     hcu2 = np.concatenate((hcu[..., m - k:], hcu[..., m - k:]), axis=-1)
     pqr = np.concatenate((pq[..., m - k:m, :], pq[..., 2 * m - k:, :]), axis=-2)
-    unit = _sq_sum(pq, 1).max(axis=-1)
-    unit += unit == 0.0  # C = Xs = 0: every scalar is 0 in any unit
-    root_unit = np.sqrt(unit)
-    rows, per_unit = pq.view(np.float64), (1.0 / unit)[..., None]
-    # einsum multiplies its operands left to right, so each term is (x / unit) y: no product of
-    # two small entries goes subnormal, and no pass rewrites or copies [p; q]
-    norms = np.einsum("...i,...,...i->...", rows, per_unit, rows)
-    cross = np.einsum("...i,...,...i->...", rows[..., :m, :], per_unit, rows[..., m:, :])
+    rows = pq.view(np.float64)
+    norms = _sq_sum(pq, 1)
+    cross = np.einsum("...i,...i->...", rows[..., :m, :], rows[..., m:, :])
     lo = max(m - k, 1)  # modes 0 .. lo - 1 pool into mode 0
     a, b, cross = (np.concatenate((x[..., :lo].sum(axis=-1, keepdims=True), x[..., lo:]), axis=-1)
                    for x in (*np.split(norms, 2, axis=-1), cross))
     s = np.concatenate((s[..., :1], s[..., lo:]), axis=-1)
-    q00 = rows[..., m, 0] / root_unit
-    energy = total_energy / unit
-    root = np.sqrt(energy)
+    q00 = rows[..., m, 0].copy()
+    root = np.sqrt(total_energy)
 
     def score(rho: float):
         rho = _check_rho(rho)
         energies = rho * rho * a + 2.0 * rho * (1.0 - rho) * cross + (1.0 - rho) ** 2 * b
-        factors, hard, _ = _secular_factors(rho * s + (1.0 - rho), energies, energy)
+        factors, hard, _ = _secular_factors(rho * s + (1.0 - rho), energies, total_energy)
         norm2 = np.add.reduce(factors * factors * energies, -1)
         if np.count_nonzero(hard):
-            fill = np.where(hard, np.sqrt(np.maximum(energy - norm2, 0.0)), 0.0)
+            fill = np.where(hard, np.sqrt(np.maximum(total_energy - norm2, 0.0)), 0.0)
             norm2 += fill * fill
         if np.count_nonzero(norm2 == 0.0):
             raise ValueError(_UNREACHABLE)
@@ -429,8 +422,8 @@ def _pareto_scorer(hc, c, xs, total_energy):
         if np.count_nonzero(hard):
             kf = kappa * fill
             distance += kf * (kf - 2.0 * q00)
-            resid[..., 0] += (kf * root_unit)[..., None] * hcu0
-        return _sq_sum(resid), distance * unit
+            resid[..., 0] += kf[..., None] * hcu0
+        return _sq_sum(resid), distance
 
     return score
 

@@ -5,6 +5,11 @@ along a lane's rho grid its interference cannot rise and its distance cannot fal
 rho = 1 endpoint is not yet the limit of the front: its hard case fills the energy deficit
 along whichever null eigenvector LAPACK returns first.
 
+`capacity_sweep`'s `comm_bits` is the water-filled capacity, so it is at least the rate of
+equal power P/m on every antenna (Telatar, Eur. Trans. Telecom. 1999).  Once water-filling
+opens all r = min(m, n_c) modes of H^H H, the gap has a closed form in the modes' gains, which
+tends to 0 as the power grows when n_c >= m and to r log2(m / r) when m > n_c.
+
 `sensing_sweep`'s `sensing_bits` is the largest estimation rate at its block energy, so it is
 at least the rate of an equal-power orthogonal probe with that energy; at a low SNR its water
 level keeps only about eps / SNR of the power's relative precision, and the rate inherits
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 from isacsim import (
     ArrayGeometry, GridPath, build_dictionary, cli, estimate_paths, random_probes, synthesize_observations,
 )
+from isacsim.capacity import mutual_information_comm
 from isacsim.channel import NoiseSpec
 from isacsim.cli import ScenarioConfig, run_scenario
 from isacsim.rng import philox_stream
@@ -66,6 +72,40 @@ def test_tradeoff_distance_is_continuous_at_rho_1():
     cfg = ScenarioConfig("isac_tradeoff", m=16, k=4, t=32, rho_list=(1.0 - 1e-9, 1.0), trials=1, seed=7)
     _, distance = tradeoff_metrics(cfg)
     np.testing.assert_allclose(distance[1], distance[0], rtol=1e-6)
+
+
+def capacity_rows(cfg):
+    """(H stack, trial rows) of a one-block capacity sweep, H as the block drew it."""
+    drawn, capacity = [], cli.comm_capacity
+    with mock.patch.object(cli, "comm_capacity", lambda h, *args: drawn.append(h) or capacity(h, *args)):
+        rows = [row for row in run_scenario(cfg) if row.trial.isdigit()]
+    return drawn[0], rows
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+@example(2, 2, 1.0, 3)  # gaps 0.13, 5.5e-5 and 5.7e-9 bits in trial 0 at P = 1, 1e2 and 1e4
+@example(4, 2, 1.0, 3)  # m > n_c: the gap nears 2 bits
+def test_comm_bits_are_at_least_the_equal_power_rate_and_exceed_it_by_the_closed_form_gap(m, n_c, noise_var, seed):
+    # with all r modes open at level w = P / r + sigma^2 mean(1 / lam), the water-filled and
+    # equal-power rates differ by r log2(m / r) + r log2(1 + sigma^2 r mean(1 / lam) / P)
+    # - sum_i log2(1 + sigma^2 m / (lam_i P)), over the r nonzero eigenvalues lam_i of H^H H
+    powers = (1e-3, 1.0, 1e2, 1e4, 1e8, 1e12)
+    cfg = ScenarioConfig("capacity_sweep", m=m, n_c=n_c, noise_var=noise_var, power_list=powers, trials=3,
+                         seed=seed)
+    h, rows = capacity_rows(cfg)
+    for row in rows:
+        hi, power, bits = h[int(row.trial)], row.param_value, row.metrics["comm_bits"]
+        equal = mutual_information_comm(hi, power / m * np.eye(m), NoiseSpec(noise_var))
+        assert bits >= equal - 1e-12 * equal - 4 * EPS * m, (row, equal)
+        lam = np.linalg.svd(hi, compute_uv=False) ** 2
+        r = len(lam)
+        if power / r > 2.0 * noise_var * (1.0 / lam.min() - np.mean(1.0 / lam)):  # every mode open, with margin
+            gap = (r * np.log2(m / r) + (r * np.log1p(noise_var * r * np.mean(1.0 / lam) / power)
+                                         - np.sum(np.log1p(noise_var * m / (lam * power)))) / np.log(2.0))
+            assert abs(bits - equal - gap) <= 1e-12 * (1.0 + bits), (row, equal, gap)
+            if n_c >= m and power == powers[-1]:
+                assert bits - equal <= 1e-9, (row, equal)
 
 
 def sensing_rows(cfg):

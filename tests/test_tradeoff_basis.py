@@ -6,14 +6,17 @@ forms the design.  `solve_pareto_tradeoff`, for one instance or a stack, and
 `_min_on_sphere` form it in `_min_in_basis`: they map the sphere solve's coordinates
 to antennas, then take the norm, then scale.  These tests hold the scored metrics to
 the public solve within rounding, on rank-deficient channels too, each scored lane to that lane
-scored alone and the designs to that order to the bit, both metrics to the instance's scale
-from 1e-300 to 1e300, and the secular solve to its root at rounding level for E from 1e-300 to 1e300
-and weights e_i / E up to about 1e600, or its lane refused past the float range; a lane that
-starts within the solve's stop keeps its start to the bit.  At a tiny
-energy the design lies along B, in a CLI run too, and no CLI run forms a design or scores
-one in antennas.
+scored alone and the designs to that order to the bit, the public solve's metrics to the
+instance's scale from 1e-300 to 1e300, and the secular solve to its root at rounding level for E
+from 1e-300 to 1e300 and weights e_i / E up to about 1e600, or its lane refused past the float range;
+a lane that starts within the solve's stop keeps its start to the bit.  The scorer works in the
+instance's own units, which the CLI draws at unit variance whatever p_t: its distances match the
+public solve's for p_t down to 5e-324, and subnormal block energies run.  At a tiny energy the
+design lies along B, in a CLI run too, and no CLI run forms a design or scores one in antennas.
 """
 
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -54,7 +57,8 @@ def antenna_tail(vals, vecs, bt, energy, shape):
 
 @PROPERTY
 @given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.sampled_from([1, m]) | st.integers(1, m))),
-       st.integers(0, 4), st.sampled_from([1e-3, 1e3]) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+       st.integers(0, 4), st.sampled_from([1e-3, 1e3, 5e-324, 1e-310]) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+       | st.floats(-323.0, 300.0).map(lambda e: 10.0**e),
        st.lists(rhos, max_size=3), st.integers(1, 5), seeds)
 @example((6, 1), 6, 1e3, [], 3, 11)  # rank-one Hc far past its least-squares energy: hard case at rho = 1
 @example((5, 3), 0, 1e3, [0.01], 2, 4)  # 1 < k < m
@@ -63,9 +67,13 @@ def antenna_tail(vals, vecs, bt, energy, shape):
 @example((1, 1), 2, 1e3, [1e-9, 0.3, 1.0 - 1e-9], 5, 8)
 @example((16, 4), 16, 1e200, [1e-9, 0.5, 1.0 - 1e-9], 2, 5)  # huge energies: the quadratic forms near 1e200
 @example((6, 1), 6, 1e250, [1e-9, 0.01, 0.99, 1.0 - 1e-9], 3, 11)
+@example((6, 1), 6, 1e-300, [1e-9, 0.5, 1.0 - 1e-9], 3, 12)  # tiny but normal E: the distance check holds
+@example((16, 4), 16, 5e-323, [1e-9, 0.5, 1.0 - 1e-9], 2, 1)  # subnormal E, which the scorer once refused
+@example((4, 2), 0, 5e-324, [0.5], 4, 1)
 def test_cli_basis_metrics_match_the_antenna_domain_design(mk, extra_t, p_t, grid, trials, seed):
     # the block's instances as the CLI draws them, scored from per-mode scalars by the CLI
-    # and in antennas from each lane's own solve_pareto_tradeoff
+    # and in antennas from each lane's own solve_pareto_tradeoff; where E is normal, each
+    # distance also to within 1e-13 of |d| + E, whatever the scale of E beside C's
     m, k = mk
     points = (0.0, 1.0, *grid)
     cfg = ScenarioConfig("isac_tradeoff", m=m, k=k, t=m + extra_t, p_t=p_t, rho_list=points, trials=trials,
@@ -90,6 +98,22 @@ def test_cli_basis_metrics_match_the_antenna_domain_design(mk, extra_t, p_t, gri
             for name, want in (("interference_power", interference), ("waveform_distance", distance),
                                ("objective", rho * interference + (1.0 - rho) * distance)):
                 assert abs(row[name] - want) <= 1e-12 * abs(want) + atol, (name, rho, i)
+            if energy >= np.finfo(float).tiny:
+                assert abs(row["waveform_distance"] - distance) <= 1e-13 * (abs(distance) + energy), (rho, i)
+
+
+@pytest.mark.parametrize("argv", [["--m", "16", "--k", "4", "--t", "32", "--p-t", "5e-323"],
+                                  ["--m", "4", "--k", "2", "--t", "4", "--p-t", "5e-324"]])
+def test_cli_run_at_a_subnormal_block_energy_prints_finite_metrics(argv, capsys):
+    # E = t p_t is subnormal: the scorer's scalars stay in the instance's units, where an energy
+    # taken in units of the lane's largest mode energy underflowed to 0 and the run exited 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["isac_tradeoff", *argv, "--trials", "4", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()[1:]
+    assert rows and all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
 
 
 @st.composite
@@ -379,28 +403,6 @@ def test_cli_run_at_a_tiny_block_energy_scores_the_design_along_b(capsys):
             want = _pareto_terms(hc[i], c[i], xs[i], np.sqrt(energy) * b / np.linalg.norm(b))
             got = rows[str(rho), str(i), "interference_power"], rows[str(rho), str(i), "waveform_distance"]
             np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-def test_scored_metrics_scale_with_the_instance_from_1e_300_to_1e300():
-    # scaling C and Xs by sqrt(p) and E by p scales X by sqrt(p) and every metric by p; the
-    # CLI draws C at unit power whatever p_t, so its own metrics are not homogeneous in p_t.
-    # At rho = 1 - 1e-9 and p = 1e-300 the null modes' energies (1-rho)^2 b_i would be
-    # subnormal in absolute units
-    cfg = ScenarioConfig("isac_tradeoff", m=6, k=2, t=8, trials=3, seed=12)
-    instances = []
-    with mock.patch.object(cli, "_pareto_scorer", lambda *args: instances.append(args) or _pareto_scorer(*args)):
-        cli._tradeoff_trial(cfg, range(3), [philox_stream(12, stream=i) for i in range(3)])
-    (hc, c, xs, energy), = instances
-    points = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
-
-    def scaled(p):
-        score = _pareto_scorer(hc, np.sqrt(p) * c, np.sqrt(p) * xs, p * energy)
-        return np.array([score(rho) for rho in points]) / p
-
-    want = scaled(1e-100)
-    atol = 1e-12 * (_sq_sum(c) + energy)[None, None, :]
-    for exponent in range(-300, 301, 25):
-        np.testing.assert_array_less(np.abs(scaled(10.0**exponent) - want), 1e-12 * np.abs(want) + atol)
 
 
 def test_public_solve_metrics_scale_with_the_instance_from_1e_300_to_1e300():
