@@ -27,7 +27,7 @@ from .channel import ArrayGeometry, NoiseSpec, build_dictionary
 from .estimation import (GridPath, _add_noise, _estimate_paths, _probe_gains, _scratch, random_probes,
                          synthesize_observations, write_observations)
 from .precoding import shift_schedule, zf_scanning_precoder
-from .rng import complex_normal, complex_normals, philox_stream
+from .rng import complex_normals, philox_stream
 from .sensing import optimal_sensing_waveform, sensing_capacity
 from .waveform import ConvergenceError, _pareto_scorer
 
@@ -137,7 +137,7 @@ def _covariance(a):
 
 
 def _capacity_trial(cfg: ScenarioConfig, block: range, gens):
-    hs = complex_normal(gens, (cfg.n_c, cfg.m))
+    (hs,) = complex_normals(gens, [(cfg.n_c, cfg.m)])
     noise = NoiseSpec(cfg.noise_var)
 
     def evaluate(pi, power) -> list:
@@ -150,7 +150,7 @@ def _capacity_trial(cfg: ScenarioConfig, block: range, gens):
 
 
 def _sensing_trial(cfg: ScenarioConfig, block: range, gens):
-    qh = _covariance(complex_normal(gens, (cfg.m, max(cfg.m, cfg.n_s))))
+    qh = _covariance(complex_normals(gens, [(cfg.m, max(cfg.m, cfg.n_s))])[0])
     noise = NoiseSpec(cfg.noise_var)
 
     def evaluate(pi, power) -> list:

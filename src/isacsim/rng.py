@@ -30,23 +30,18 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def complex_normal(gen, shape) -> np.ndarray:
-    """Draw circularly-symmetric complex Gaussian samples, unit total variance.
-
-    Box-Muller on uniform draws (see _box_muller).  Given a sequence of generators,
-    it draws `shape` from each in turn and transforms the draws in one pass, returning
-    them stacked as (len(gen), *shape); the transform acts element by element, so each
-    lane holds its generator's own draw.
-    """
+    """Draw circularly-symmetric complex Gaussian samples, unit total variance, from one
+    generator: Box-Muller on uniform draws (see _box_muller), as the one lane of complex_normals."""
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
-    single = isinstance(gen, np.random.Generator)
-    (z,) = complex_normals([gen] if single else list(gen), [shape])
-    return z.reshape(shape) if single else z
+    return complex_normals([gen], [shape])[0].reshape(shape)
 
 
 def complex_normals(gens, shapes) -> list:
-    """complex_normal(gens, shape) for each of `shapes` in turn, as one stack per shape.  Each
-    generator draws the uniforms of all the shapes in one call: the same draws as one call per
-    shape, since a generator's uniforms go on where its last call stopped."""
+    """complex_normal(gen, shape) of each generator for each of `shapes` in turn, as one
+    (len(gens), *shape) stack per shape.  Each generator draws the uniforms of all the shapes
+    in one call: the same draws as one call per shape, since a generator's uniforms go on where
+    its last call stopped.  The transform acts element by element, so each lane holds its
+    generator's own draw."""
     sizes = [int(np.prod(shape)) for shape in shapes]
     u = np.empty((len(gens), 2 * sum(sizes)))
     for g, lane in zip(gens, u):

@@ -458,7 +458,7 @@ def _pareto_objective(hc, c, xs, rho, x):
     return rho * interference + (1.0 - rho) * distance
 
 
-def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):
+def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled, subject):
     """Cyclic closed-form row updates of the trade-off objective from every start of a
     stack x (L x m x t) at once.
 
@@ -467,7 +467,8 @@ def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):
     (L x t) onto the row's feasible set, keeping `row` where it is zero.  Sweeps never
     increase the objective.  A lane stops once `settled(previous, objective)` holds for
     it, with that sweep's iterate; each step is lane by lane, so a lane ends as it would
-    alone, to the bit.  Returns (x, objective, converged, last improvement), per lane.
+    alone, to the bit.  Returns the first lowest lane's design, as a loop over starts keeps
+    it, or raises ConvergenceError ("{subject} did not settle ...") with that lane's iterate.
     """
     # row i's column as 1 x k x 1, the lanes' ndim: NumPy rounds a one-entry product of
     # operands of unequal ndim in another loop than np.outer's, which breaks the bits.
@@ -501,7 +502,11 @@ def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled):
             if not live.size:
                 break
     lanes[live] = cur
-    return lanes, obj, converged, change
+    best = min(range(len(x)), key=obj.__getitem__)
+    if not converged[best]:
+        raise ConvergenceError(f"{subject} did not settle within {max_sweeps} sweeps",
+                               best=lanes[best], iterations=max_sweeps, last_change=change[best])
+    return lanes[best]
 
 
 def solve_per_antenna(
@@ -541,14 +546,9 @@ def solve_per_antenna(
         norm = _norm(direction)
         return root * direction / norm if norm > 1e-300 else row
 
-    x, _, converged, change = _cyclic_rows(
-        hc, c, xs, rho, x[None], row_sphere, max_sweeps,
-        lambda previous, obj: previous - obj < tol * np.maximum(1.0, np.abs(previous)),
-    )
-    if not converged[0]:
-        raise ConvergenceError(f"per-antenna row sweeps did not settle within {max_sweeps} sweeps",
-                               best=x[0], iterations=max_sweeps, last_change=change[0])
-    return x[0]
+    return _cyclic_rows(hc, c, xs, rho, x[None], row_sphere, max_sweeps,
+                        lambda previous, obj: previous - obj < tol * np.maximum(1.0, np.abs(previous)),
+                        "per-antenna row sweeps")
 
 
 def solve_constant_modulus(
@@ -586,12 +586,5 @@ def solve_constant_modulus(
         mag = np.abs(direction)
         return np.divide(np.multiply(scale, direction, out=direction), mag, out=row.copy(), where=mag > 1e-300)
 
-    x, obj, converged, change = _cyclic_rows(
-        hc, c, xs, rho, modulus * np.exp(1j * np.angle(np.stack(starts))), unit_modulus, max_sweeps,
-        lambda previous, obj: previous - obj < tol,
-    )
-    best = min(range(len(starts)), key=obj.__getitem__)  # the first lowest, as a loop over starts
-    if not converged[best]:
-        raise ConvergenceError(f"constant-modulus phase sweeps did not settle within {max_sweeps} sweeps",
-                               best=x[best], iterations=max_sweeps, last_change=change[best])
-    return x[best]
+    return _cyclic_rows(hc, c, xs, rho, modulus * np.exp(1j * np.angle(np.stack(starts))), unit_modulus,
+                        max_sweeps, lambda previous, obj: previous - obj < tol, "constant-modulus phase sweeps")

@@ -24,7 +24,7 @@ from isacsim import (ArrayGeometry, GridPath, ObservationTensor, build_dictionar
 from isacsim import cli
 from isacsim.estimation import (_PRUNE_RTOL, BeamDetection, PathEstimate, _add_noise, _estimate_paths, _pair_scores,
                                 _peak, _probe_gains, _ratio, _residual_energy, _scratch, _Stage, estimate_gain_phase)
-from isacsim.rng import complex_normal, complex_normal_seeded, philox_stream
+from isacsim.rng import complex_normal_seeded, complex_normals, philox_stream
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 SPACING, DURATION, CARRIER = 15e3, 1e-4, 28e9
@@ -274,7 +274,8 @@ def test_noisy_synthesis_matches_the_reference_noise(case, seed):
 def test_complex_normal_matches_the_reference_draw(seed, lanes, shape):
     gens = [philox_stream(seed, stream) for stream in range(lanes)]
     again = [philox_stream(seed, stream) for stream in range(lanes)]
-    assert complex_normal(gens, shape).tobytes() == reference_complex_normal(again, shape).tobytes()
+    (stacked,) = complex_normals(gens, [(shape,) if isinstance(shape, int) else tuple(shape)])
+    assert stacked.tobytes() == reference_complex_normal(again, shape).tobytes()
     assert complex_normal_seeded(shape, seed, 9).tobytes() == \
         reference_complex_normal(philox_stream(seed, 9), shape).tobytes()
 

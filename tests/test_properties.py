@@ -41,8 +41,8 @@ from isacsim import cli
 from isacsim.cli import ScenarioConfig, run_scenario
 from isacsim.estimation import (_PRUNE_RTOL, _add_noise, _beam_search, _estimate_paths, _pair_scores, _probe_gains,
                                 _residual_energy)
-from isacsim.rng import complex_normal, philox_stream
-from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _project_psd_trace
+from isacsim.rng import complex_normal, complex_normals, philox_stream
+from isacsim.waveform import _cyclic_rows, _min_in_basis, _min_on_sphere, _pareto_objective, _project_psd_trace
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -214,7 +214,7 @@ def test_complex_normal_over_generators_stacks_each_generator_own_draw(streams, 
     gens = [philox_stream(7, s) for s in streams]
     alone = [philox_stream(7, s) for s in streams]
     for _ in range(2):  # the second draw continues every stream
-        stacked = complex_normal(gens, shape)
+        (stacked,) = complex_normals(gens, [shape])
         assert stacked.shape == (len(streams), *shape)
         for lane, gen in zip(stacked, alone):
             assert np.array_equal(lane, complex_normal(gen, shape))
@@ -509,8 +509,9 @@ def test_constant_modulus_is_exact_and_no_worse_than_its_starts(instance, rho, m
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tradeoffs(), rhos, st.floats(0.1, 2.0), st.integers(0, 60), st.sampled_from([1e-10, 1e-6, 0.0]))
 def test_constant_modulus_starts_as_lanes_equal_a_loop_over_starts(instance, rho, modulus, cap, tol):
-    # the reference sweeps one start at a time with a two-np.where projection and keeps the
-    # first lowest objective; small caps and tol = 0 leave some lanes at their cap
+    # the reference sweeps one start at a time with a two-np.where projection, each start's
+    # design or ConvergenceError giving its iterate, scores each iterate with the lane-wise
+    # _pareto_objective and keeps the first lowest; small caps and tol = 0 leave some lanes at their cap
     hc, c, xs, _ = instance
 
     def unit_modulus(direction, row):
@@ -524,19 +525,25 @@ def test_constant_modulus_starts_as_lanes_equal_a_loop_over_starts(instance, rho
         starts.append(rho * (hc.conj().T @ c) + (1.0 - rho) * xs)
     best = None
     for start in starts:  # one lane per call
-        outcome = [v[0] for v in _cyclic_rows(hc, c, xs, rho, modulus * np.exp(1j * np.angle(start))[None],
-                                              unit_modulus, cap, lambda previous, obj: previous - obj < tol)]
-        if best is None or outcome[1] < best[1]:
-            best = outcome
-    x, _, converged, change = best
-    if converged:
+        try:
+            x = _cyclic_rows(hc, c, xs, rho, modulus * np.exp(1j * np.angle(start))[None], unit_modulus, cap,
+                             lambda previous, obj: previous - obj < tol, "constant-modulus phase sweeps")
+            failure = None
+        except ConvergenceError as exc:
+            x, failure = exc.best, exc
+        obj = _pareto_objective(hc, c, xs, rho, x[None])[0]
+        if best is None or obj < best[1]:
+            best = x, obj, failure
+    x, _, failure = best
+    if failure is None:
         assert solve_constant_modulus(hc, c, xs, rho, modulus, cap, tol).tobytes() == x.tobytes()
         return
     with pytest.raises(ConvergenceError) as info:
         solve_constant_modulus(hc, c, xs, rho, modulus, cap, tol)
+    assert str(info.value) == str(failure) == f"constant-modulus phase sweeps did not settle within {cap} sweeps"
     assert info.value.best.tobytes() == x.tobytes()
-    assert info.value.iterations == cap
-    assert struct.pack("<d", info.value.last_change) == struct.pack("<d", change)
+    assert info.value.iterations == failure.iterations == cap
+    assert struct.pack("<d", info.value.last_change) == struct.pack("<d", failure.last_change)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from isacsim import (
     virtual_coefficients,
 )
 from isacsim.cli import ScenarioConfig
+from isacsim.waveform import _pareto_scorer
 
 GEOM = ArrayGeometry(4)
 PATH = PathParameters(1.0, 0.0, 0.0, 0.0, 0.0)
@@ -109,6 +110,16 @@ def test_pareto_with_a_zero_channel_at_rho_1_is_unreachable():
     # A = 0 and B = Hc^H C = 0: the design is zero, so no energy can be put on it
     with pytest.raises(ValueError, match="energy target unreachable from a zero stationary solution"):
         solve_pareto_tradeoff(np.zeros((1, 3)), np.ones((1, 2)), np.ones((3, 2)), 1.0, 4.0)
+
+
+def test_tradeoff_scorer_with_a_zero_channel_scores_below_rho_1_and_is_unreachable_at_it():
+    # below rho = 1 the design is Xs at the block energy; at rho = 1, A = 0 and B = Hc^H C = 0
+    score = _pareto_scorer(np.zeros((1, 1, 3)), np.ones((1, 1, 2)), np.ones((1, 3, 2)), 4.0)
+    interference, distance = score(0.5)
+    np.testing.assert_allclose(interference, [2.0], rtol=1e-15)
+    np.testing.assert_allclose(distance, [(math.sqrt(6.0) - 2.0) ** 2], rtol=1e-14)
+    with pytest.raises(ValueError, match="energy target unreachable from a zero stationary solution"):
+        score(1.0)
 
 
 @pytest.mark.parametrize("reference", [1.0, 1j])

@@ -1,12 +1,12 @@
 """`philox_stream` hands its key to Philox through a minimal seed sequence; it must give
 the generator that `Philox(key=...)` gives, state and draws alike.  `complex_normals` draws
 each generator's uniforms for several shapes in one call; it must give the stacks that one
-`complex_normal` call per shape gives, to the bit, and leave each generator where they do."""
+`complex_normals` call per shape gives, to the bit, and leave each generator where they do."""
 
 import numpy as np
 import pytest
 
-from isacsim.rng import _MASK64, complex_normal, complex_normals, philox_stream
+from isacsim.rng import _MASK64, complex_normals, philox_stream
 
 IDS = [0, 1, 2**64 - 1, -1, 1_000_003 * 7 + 12_345]  # -1 masks to 2^64 - 1; the last as a noise stream's id
 
@@ -42,6 +42,6 @@ def test_one_call_per_generator_gives_each_shape_its_own_draw(shapes, lanes):
     one, each = ([philox_stream(7, lane) for lane in range(lanes)] for _ in range(2))
     stacks = complex_normals(one, shapes)
     for shape, stack in zip(shapes, stacks):
-        alone = complex_normal(each, shape)
+        (alone,) = complex_normals(each, [shape])
         assert stack.shape == alone.shape == (lanes, *shape) and stack.tobytes() == alone.tobytes()
     assert [g.random() for g in one] == [g.random() for g in each]
