@@ -40,10 +40,10 @@ class CapacityResult:
 def require_psd(q: np.ndarray, name: str = "matrix"):
     """Raise ValueError unless q, or every matrix of a stack q[..., :, :], is Hermitian PSD.
 
-    Returns the checked (ascending) eigenpairs, stacked like q; each matrix is
-    checked against its own largest entry.
+    Returns _rank_cut of the descending eigenpairs of the eigh it checked, stacked like q; each
+    matrix is checked against its own largest entry.
     """
-    q = np.asarray(q)
+    q = np.asarray(q, dtype=complex)
     if q.ndim < 2 or q.shape[-2] != q.shape[-1]:
         raise ValueError(f"{name} must be square")
     scale = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1), initial=0.0))
@@ -54,7 +54,7 @@ def require_psd(q: np.ndarray, name: str = "matrix"):
     eigmin = np.min(vals, axis=-1, initial=np.inf)
     if np.any(eigmin < -_PSD_TOL * scale):
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {np.min(eigmin):.3e})")
-    return vals, vecs
+    return _rank_cut(vals[..., ::-1], vecs[..., ::-1])
 
 
 def _rank_cut(vals: np.ndarray, vecs: np.ndarray):
@@ -64,12 +64,6 @@ def _rank_cut(vals: np.ndarray, vecs: np.ndarray):
     return np.where(keep, vals, 0.0)[..., :g], vecs[..., :g]
 
 
-def _psd_eigs(q: np.ndarray, name: str):
-    """_rank_cut of the descending eigenpairs of a matrix, or a stack, that require_psd accepts."""
-    vals, vecs = require_psd(np.asarray(q, dtype=complex), name)
-    return _rank_cut(vals[..., ::-1], vecs[..., ::-1])
-
-
 def _from_eigs(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The Hermitian V diag(vals) V^H, for one matrix or a stack."""
     out = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
@@ -77,8 +71,8 @@ def _from_eigs(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _psd_factor(q: np.ndarray, name: str) -> np.ndarray:
-    """F = V sqrt(lam) from _psd_eigs, so q = F F^H with one column per nonzero eigenvalue."""
-    vals, vecs = _psd_eigs(q, name)
+    """F = V sqrt(lam) from require_psd, so q = F F^H with one column per nonzero eigenvalue."""
+    vals, vecs = require_psd(q, name)
     return vecs * np.sqrt(vals)
 
 

@@ -7,9 +7,11 @@ outputs are byte-identical across runs and thread counts.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
+import os
 import re
 import sys
 import time
@@ -430,7 +432,10 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:  # the decoder recurses once per nesting level
+                raise ValueError("config file nests too deeply to decode") from None
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
     data["scenario"] = args.command
@@ -450,11 +455,17 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         text = emit_results(run_scenario(cfg), args.format, cfg.out_path or None)
+        if not cfg.out_path:
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:  # stdout keeps the unwritten bytes, and the interpreter flushes it again at exit
+                with contextlib.suppress(OSError), open(os.devnull, "wb") as null:  # so send them to the null device
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+                raise
     except (ValueError, OSError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not cfg.out_path:
-        sys.stdout.write(text)
     return 0
 
 

@@ -350,8 +350,8 @@ def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "dopple
     """The stages alone: the beam-search detections (searched in scratch), their PathEstimates
     and peak ratios.
 
-    Each stage runs once over the (paths, N, T) stack of detection series: one transform,
-    one aggregate and one argmax, lane by lane, so every pick is the one-path pipeline's.
+    Each stage transforms the (paths, N, T) stack of detection series once; the first aggregates and
+    picks lane by lane, the second takes each path's _peak, so every pick is the one-path pipeline's.
     """
     t = obs.n_symbols
     detections = _beam_search(obs, dict_rx, num_paths, *prepared, scratch)
@@ -365,13 +365,11 @@ def _estimate_paths(obs, dict_rx, num_paths: int, prepared, order: str = "dopple
     picked = np.argmax(agg, axis=1)
     lanes = np.arange(len(detections))
     spectrum = second.transform(spectra.swapaxes(1, first.axis)[lanes, picked] / first.divisor)
-    mags = np.abs(spectrum)
-    peaks = np.argmax(mags, axis=1)
     estimates = []
     ratios = np.zeros((len(detections), 2))
     for i, det in enumerate(detections):
-        amplitude = complex(spectrum[i, peaks[i]] / second.divisor)
-        picks = ((int(picked[i]), _ratio(agg[i])), (int(peaks[i]), _ratio(mags[i])))
+        peak, amplitude = _peak(spectrum[i], second.divisor)
+        picks = ((int(picked[i]), _ratio(agg[i])), (peak, _ratio(np.abs(spectrum[i]))))
         (f_x, doppler_ratio), (tau_x, delay_ratio) = picks if first is doppler else picks[::-1]
         ratios[i] = (doppler_ratio, delay_ratio)
         doppler_correction = np.exp(2j * np.pi * f_x / t)

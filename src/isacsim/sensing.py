@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PowerAllocation, _fill, _mi_bits, _psd_eigs, _psd_factor, _require_finite_rate
+from .capacity import PowerAllocation, _fill, _mi_bits, _psd_factor, _require_finite_rate, require_psd
 from .channel import NoiseSpec
 
 
@@ -43,8 +43,8 @@ def estimation_rate(x: np.ndarray, qh: np.ndarray, noise: NoiseSpec, rx_count: i
 
 
 def _probing_modes(qh: np.ndarray, t: int):
-    """Q_h's nonzero eigenpairs (_psd_eigs), for an M x M Q_h or an L x M x M stack, checked to fit T."""
-    vals, vecs = _psd_eigs(qh, "channel covariance")
+    """Q_h's nonzero eigenpairs (require_psd), for an M x M Q_h or an L x M x M stack, checked to fit T."""
+    vals, vecs = require_psd(qh, "channel covariance")
     if t < vals.shape[-1]:
         raise ValueError(f"block length T={t} cannot fit {vals.shape[-1]} orthogonal probing columns")
     return vals, vecs

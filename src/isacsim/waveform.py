@@ -45,14 +45,19 @@ def interference_power(xc: np.ndarray, hc: np.ndarray, c: np.ndarray) -> float:
 
 
 def _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm):
-    """(objective, gradient) of the unchecked weighted objective, f the covariance factor (Q_h = F F^H),
-    with the identities and conjugate transposes built once.  objective(q) -> (value, comm) for a
-    covariance or a stack, comm = I + Hc Q Hc^H / sigma^2 (None at rho = 0); gradient(q, comm)."""
+    """(objective, gradient) of the weighted objective, f the covariance factor (Q_h = F F^H); a weighted
+    term's normalizer must be > 0, and the identities and conjugate transposes are built once.  objective(q)
+    -> (value, comm) for an unchecked covariance or stack, comm = I + Hc Q Hc^H / sigma^2 (None at rho = 0);
+    gradient(q, comm)."""
     m = hc.shape[1]
     hh, eye_c = hc.conj().T, np.eye(hc.shape[0])
     if rho > 0:
+        if comm_norm <= 0:
+            raise ValueError("communication normalizer must be > 0")
         comm_w = rho / (comm_norm * _LN2 * noise.variance)
     if rho < 1:
+        if sens_norm <= 0:
+            raise ValueError("sensing normalizer must be > 0")
         fh, eye_s = f.conj().T, np.eye(f.shape[1])
         sens_w = (1.0 - rho) * n_s / (sens_norm * _LN2 * noise.variance)
 
@@ -76,13 +81,6 @@ def _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm):
     return objective, gradient
 
 
-def _check_normalizers(rho, comm_norm, sens_norm):
-    if rho > 0 and comm_norm <= 0:
-        raise ValueError("communication normalizer must be > 0")
-    if rho < 1 and sens_norm <= 0:
-        raise ValueError("sensing normalizer must be > 0")
-
-
 def weighted_mi_objective(
     q: np.ndarray,
     hc: np.ndarray,
@@ -104,7 +102,6 @@ def weighted_mi_objective(
     rho = _check_rho(rho)
     q = np.asarray(q, dtype=complex)
     require_psd(q, "transmit covariance")
-    _check_normalizers(rho, comm_norm, sens_norm)
     f = _psd_factor(qh, "channel covariance") if rho < 1 else None
     objective = _weighted_mi_terms(np.asarray(hc, dtype=complex), f, rho, noise, t, n_s, comm_norm, sens_norm)[0]
     return float(objective(q)[0])
@@ -159,7 +156,6 @@ def optimize_weighted_mi(
         vals, vecs = _probing_modes(qh, t)
         sens_norm = _modes_capacity(vals, n_s, t, budget, noise).bits_per_transmission
         f = vecs * np.sqrt(vals)  # _psd_factor's F from the same eigenpairs
-    _check_normalizers(rho, comm_norm, sens_norm)
     terms, gradient = _weighted_mi_terms(hc, f, rho, noise, t, n_s, comm_norm, sens_norm)
 
     def objective(qs):  # one Python float per lane of the stack qs, and the lanes' comm matrices

@@ -56,12 +56,29 @@ class TestMutualInformation:
 
 
 class TestRequirePsd:
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_returns_the_descending_nonzero_eigenpairs(self, rank):
+        g = random_channel(3, 3, 7)[:, :rank]
+        q = g @ g.conj().T
+        vals, vecs = require_psd(q)
+        assert vals.shape == (rank,) and vecs.shape == (3, rank)
+        assert np.all(vals > 0) and np.all(np.diff(vals) <= 0)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(q)[::-1][:rank], rtol=1e-12)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(rank), atol=1e-12)
+        np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, q, atol=1e-12)
+
     def test_stack_returns_each_matrix_checked_alone(self):
-        qs = np.stack([random_psd(3, 2.0, seed) for seed in range(4)])
+        # lanes of ranks 3, 1, 0 and 2 keep the top rank's width; a lane reads 0 past its own rank
+        g = random_channel(3, 3, 11)
+        qs = np.stack([random_psd(3, 2.0, 0), g[:, :1] @ g[:, :1].conj().T, np.zeros((3, 3)),
+                       g[:, :2] @ g[:, :2].conj().T])
         vals, vecs = require_psd(qs)
+        assert vals.shape == (4, 3) and vecs.shape == (4, 3, 3)
         for q, v, u in zip(qs, vals, vecs):
-            alone = require_psd(q)
-            assert np.array_equal(v, alone[0]) and np.array_equal(u, alone[1])
+            alone_vals, alone_vecs = require_psd(q)
+            r = alone_vals.size
+            assert np.array_equal(v[:r], alone_vals) and np.array_equal(u[:, :r], alone_vecs)
+            assert not np.any(v[r:])
 
     def test_stack_fails_on_one_bad_matrix(self):
         good = random_psd(2, 1.0, 5)

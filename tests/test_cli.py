@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import warnings
 from dataclasses import fields
 
@@ -654,8 +657,8 @@ class TestMain:
 
     @pytest.mark.parametrize("scenario", ["capacity_sweep", "sensing_sweep"])
     def test_sweep_matches_golden_bytes(self, scenario):
-        # written while every point still built its aux stream and _psd_eigs decomposed
-        # twice; the lazy stream and the single decomposition must reproduce it
+        # written while every point still built its aux stream and decomposed each
+        # covariance twice; the lazy stream and the single decomposition must reproduce it
         name = f"{scenario}_seed3.csv"
         assert goldens.produce(name) == (goldens.DATA / name).read_bytes()
 
@@ -685,6 +688,36 @@ class TestMain:
         assert keys(records) == keys(stored)
         np.testing.assert_allclose([row["value"] for row in records], [row["value"] for row in stored],
                                    rtol=1e-12, atol=1e-12)
+
+    def test_deeply_nested_config_exits_one_with_message(self, tmp_path, capsys):
+        # json.load gives up on 100000 nested arrays with a RecursionError
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text("[" * 100_000)
+        assert main(["capacity_sweep", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config file nests too deeply to decode\n"
+
+    def test_failed_stdout_write_exits_one_with_message(self, capsys):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with contextlib.redirect_stdout(Full()):  # a stream with no descriptor to redirect
+            assert main(["capacity_sweep", "--trials", "3"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_failed_stdout_flush_leaves_nothing_for_the_exit_flush(self, capsys):
+        # the output fits the buffer, so the write succeeds and the flush fails with the bytes kept;
+        # the interpreter flushes stdout again at exit, and that flush must not fail a second time
+        raw = io.FileIO("/dev/full", "w")
+        with io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 16), encoding="utf-8") as stdout:
+            with contextlib.redirect_stdout(stdout):
+                assert main(["capacity_sweep", "--trials", "3"]) == 1
+            assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+            assert os.path.samestat(os.fstat(raw.fileno()), os.stat(os.devnull))
+            stdout.flush()
 
     def test_missing_config_file_exits_nonzero(self, capsys):
         code = main(["capacity_sweep", "--config", "/nonexistent/cfg.json"])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import isacsim
 from isacsim import (ConvergenceError, NoiseSpec, comm_capacity, optimal_sensing_waveform, optimize_weighted_mi,
                      sensing_capacity, solve_constant_modulus, solve_pareto_tradeoff, solve_per_antenna)
-from isacsim import capacity
+from isacsim import capacity, sensing
 from isacsim.capacity import _logdet_bits, _psd_factor
 from isacsim.cli import main
 from isacsim.waveform import _RUNGS, _pareto_objective, _project_psd_trace
@@ -247,7 +247,8 @@ def test_weighted_mi_matches_the_untrimmed_solver_to_the_bit(instance, cap):
 
 @pytest.mark.parametrize("rho", [0.0, 0.5])
 def test_one_weighted_mi_solve_decomposes_q_h_once(monkeypatch, rho):
-    # the sensing normalizer and the factor F share one check and eigh of Q_h
+    # the sensing normalizer and the factor F share one check and eigh of Q_h; require_psd is
+    # counted where _probing_modes (sensing) and _psd_factor (capacity) look it up
     names = []
     check = capacity.require_psd
 
@@ -255,7 +256,8 @@ def test_one_weighted_mi_solve_decomposes_q_h_once(monkeypatch, rho):
         names.append(name)
         return check(q, name)
 
-    monkeypatch.setattr(capacity, "require_psd", counting)
+    for module in (capacity, sensing):
+        monkeypatch.setattr(module, "require_psd", counting)
     gen = np.random.default_rng(3)
     root = cn(gen, 4, 4)
     optimize_weighted_mi(cn(gen, 2, 4), root @ root.conj().T, rho, 1.0, NoiseSpec(1.0), 8, 4)

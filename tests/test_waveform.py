@@ -94,8 +94,13 @@ class TestWeightedMiObjective:
 
     def test_rejects_zero_normalizer(self):
         q = random_cov(3, 13, trace=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^communication normalizer must be > 0$"):
             weighted_mi_objective(q, self.hc, self.qh, 0.5, self.noise, self.t, self.n_s, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^sensing normalizer must be > 0$"):
+            weighted_mi_objective(q, self.hc, self.qh, 0.5, self.noise, self.t, self.n_s, 1.0, 0.0)
+        # Q_h is checked before the normalizers
+        with pytest.raises(ValueError, match="^channel covariance is not positive semidefinite"):
+            weighted_mi_objective(q, self.hc, -self.qh, 0.5, self.noise, self.t, self.n_s, 0.0, 0.0)
 
     def test_concave_along_random_segments(self):
         for seed in range(20):
