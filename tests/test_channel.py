@@ -230,6 +230,49 @@ class TestConfigRoundTrip:
         data = json.loads(path.read_text())
         assert abs(data["paths"][0]["aod_deg"] - np.degrees(spec.paths[0].aod_rad)) < 1e-9
 
+    def test_save_writes_the_exact_text(self, tmp_path):
+        # sorted keys, two-space indent, a trailing newline; -0.5j keeps its signed zero real part
+        spec = MmWaveChannelSpec(
+            ArrayGeometry(4, 0.5), ArrayGeometry(3, 0.25),
+            (PathParameters(1.5 - 0.25j, 1e-7, 250.0, np.pi / 4, -np.pi / 6),
+             PathParameters(-0.5j, 0.0, -37.5, 0.0, np.pi / 3)),
+            28e9, 1e-6,
+        )
+        path = tmp_path / "channel.json"
+        save_channel_spec(spec, path)
+        assert path.read_text(encoding="utf-8") == """\
+{
+  "carrier_hz": 28000000000.0,
+  "paths": [
+    {
+      "aoa_deg": -29.999999999999996,
+      "aod_deg": 45.0,
+      "delay_s": 1e-07,
+      "doppler_hz": 250.0,
+      "gain_imag": -0.25,
+      "gain_real": 1.5
+    },
+    {
+      "aoa_deg": 59.99999999999999,
+      "aod_deg": 0.0,
+      "delay_s": 0.0,
+      "doppler_hz": -37.5,
+      "gain_imag": -0.5,
+      "gain_real": -0.0
+    }
+  ],
+  "rx": {
+    "element_count": 3,
+    "spacing_ratio": 0.25
+  },
+  "symbol_duration_s": 1e-06,
+  "tx": {
+    "element_count": 4,
+    "spacing_ratio": 0.5
+  }
+}
+"""
+
 
 def test_path_coefficient_is_time_separable():
     # Doppler factors must compose multiplicatively across symbol indices

@@ -8,7 +8,9 @@ along whichever null eigenvector LAPACK returns first.
 `capacity_sweep`'s `comm_bits` is the water-filled capacity, so it is at least the rate of
 equal power P/m on every antenna (Telatar, Eur. Trans. Telecom. 1999).  Once water-filling
 opens all r = min(m, n_c) modes of H^H H, the gap has a closed form in the modes' gains, which
-tends to 0 as the power grows when n_c >= m and to r log2(m / r) when m > n_c.
+tends to 0 as the power grows when n_c >= m and to r log2(m / r) when m > n_c.  Not yet at the
+extremes: a budget below half an ulp of the lowest floor sigma^2 / lam is lost to the water
+level, and at a subnormal power and noise variance `comm_bits` underflows to 0.
 
 `sensing_sweep`'s `sensing_bits` is the largest estimation rate at its block energy, so it is
 at least the rate of an equal-power orthogonal probe with that energy; at a low SNR its water
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from isacsim import (
     ArrayGeometry, GridPath, build_dictionary, cli, estimate_paths, random_probes, synthesize_observations,
 )
-from isacsim.capacity import mutual_information_comm
+from isacsim.capacity import mutual_information_comm, waterfill
 from isacsim.channel import NoiseSpec
 from isacsim.cli import ScenarioConfig, run_scenario
 from isacsim.rng import philox_stream
@@ -146,6 +148,28 @@ def test_sensing_bits_keep_their_relative_precision_at_a_low_snr():
     qh, rows = sensing_rows(cfg)
     want = [5 * np.log1p(qh[i, 0, 0].real * 1e-3 / 1e3) / np.log(2.0) for i in range(3)]
     np.testing.assert_allclose([row.metrics["sensing_bits"] for row in rows], want, rtol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the levels are formed as w - sigma^2 / lam, so a budget below half an ulp of "
+                                       "the lowest floor is lost: [1e-20] at a budget of 1e-10 reads levels [0.] at "
+                                       "w = 1e20, and [1e-20, 1.0] reads levels summing to 1.0000000827e-10")
+def test_waterfill_spends_a_budget_far_below_the_lowest_floor():
+    # the whole budget goes to the strongest mode
+    for lam in ([1e-20], [1e-20, 1.0]):
+        levels = waterfill(lam, 1e-10, NoiseSpec(1.0)).levels
+        np.testing.assert_allclose(levels, [1e-10] + [0.0] * (len(lam) - 1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="each rate's x is formed as lam * levels / sigma^2, and lam * levels underflows "
+                                       "before the division: at beta = sigma^2 = 5e-324 comm_bits reads 0.0 beside "
+                                       "mi_bits 0.016658816407260753")
+def test_comm_bits_keep_their_value_at_a_subnormal_power_and_noise():
+    # one mode takes the whole power, so comm_bits is log2(1 + |h|^2 P / sigma^2) with P / sigma^2 = 1
+    cfg = ScenarioConfig("capacity_sweep", m=1, n_c=1, noise_var=5e-324, power_list=(5e-324,), trials=1)
+    h, rows = capacity_rows(cfg)
+    want = np.log1p(abs(h[0, 0, 0]) ** 2) / np.log(2.0)
+    np.testing.assert_allclose([row.metrics["mi_bits"] for row in rows], [want], rtol=1e-12)
+    np.testing.assert_allclose([row.metrics["comm_bits"] for row in rows], [want], rtol=1e-12)
 
 
 def beam_scan_matches(m, d):
